@@ -256,23 +256,28 @@ void BM_DveEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_DveEndToEnd);
 
 // --- Serving-path RequestTasks benchmarks -----------------------------------
-// One DocsSystem serving SelectTasks(worker, 10) over an n-task QA campaign
-// with a settled answer history. Configurations:
-//   Warm      — benefit cache + index on, fused kernel: repeat requests on a
-//               quiet system pop the top-k off the per-worker benefit index.
+// One DocsSystem over an n-task QA campaign with a settled answer history;
+// each iteration ranks the top 10 of bench_w0's eligible (unanswered)
+// tasks. Configurations:
+//   Warm      — SelectTasks on a quiet system: the serving path pops the
+//               top-k off the per-worker benefit index.
 //   WarmSweep — Warm across n = 1k/10k/100k tasks: the DESIGN.md §16
 //               sub-linearity evidence (scripts/bench.sh gates warm ns/op at
 //               100k under 3x the 10k figure; an O(n) warm path would be
 //               ~10x).
-//   WarmScan  — cache on, index off, same n sweep: the O(n) epoch-scan warm
+//   WarmScan  — ScoreAllTasks through the warm cache row, then PICK over
+//               every eligible score, same n sweep: the O(n) epoch-scan warm
 //               path the index replaced, for the scaling comparison.
-//   Cold      — cache off, allocating reference kernel: the seed-era serving
+//   Cold      — every eligible task scored from inference() with the
+//               allocating reference kernel, then PICK: the seed-era serving
 //               path, rescoring every eligible task per request.
-//   ColdFused — cache off, fused kernel: full rescoring cost without the
-//               per-task heap churn, isolating the two optimizations.
+//   ColdFused — the same with the fused kernel: full rescoring cost without
+//               the per-task heap churn, isolating the two optimizations.
 // Each reports allocs/op from the counting operator new above; the
 // acceptance bars are Warm at >= 5x fewer allocations than Cold and the
 // WarmSweep sub-linearity gate.
+
+constexpr size_t kServeK = 10;
 
 const kb::SyntheticKb& ServingKb() {
   static const kb::SyntheticKb* kKb =
@@ -280,10 +285,7 @@ const kb::SyntheticKb& ServingKb() {
   return *kKb;
 }
 
-std::unique_ptr<core::DocsSystem> MakeServingSystem(bool benefit_cache,
-                                                    bool reference_kernel,
-                                                    size_t num_tasks,
-                                                    bool benefit_index) {
+std::unique_ptr<core::DocsSystem> MakeServingSystem(size_t num_tasks) {
   const kb::SyntheticKb& kb = ServingKb();
   const auto dataset = datasets::MakeQaDataset(kb, num_tasks);
   std::vector<core::TaskInput> inputs;
@@ -296,9 +298,6 @@ std::unique_ptr<core::DocsSystem> MakeServingSystem(bool benefit_cache,
   options.reinfer_every = 0;   // no periodic re-inference mid-benchmark
   options.lease_duration = 0;  // no lease bookkeeping in the request loop
   options.num_threads = 1;
-  options.benefit_cache = benefit_cache;
-  options.benefit_index = benefit_index;
-  options.reference_kernel = reference_kernel;
   auto system =
       std::make_unique<core::DocsSystem>(&kb.knowledge_base, options);
   Status status = system->AddTasks(inputs);
@@ -314,19 +313,16 @@ std::unique_ptr<core::DocsSystem> MakeServingSystem(bool benefit_cache,
   return system;
 }
 
-void ServeRequestTasksLoop(benchmark::State& state, bool benefit_cache,
-                           bool reference_kernel, size_t num_tasks = 512,
-                           bool benefit_index = true) {
-  auto system = MakeServingSystem(benefit_cache, reference_kernel, num_tasks,
-                                  benefit_index);
-  const size_t worker = system->WorkerIndex("bench_w0");
-  // One untimed request warms the cache row, the index heap, and the
-  // scratch arenas.
-  benchmark::DoNotOptimize(system->SelectTasks(worker, 10));
+// Times `rank` (one ranking pass returning the selected tasks) and reports
+// allocs/op. One untimed pass warms the cache row, the index heap, and the
+// scratch arenas.
+template <typename Rank>
+void CountedRankingLoop(benchmark::State& state, Rank&& rank) {
+  benchmark::DoNotOptimize(rank());
   const uint64_t allocs_before = HeapAllocations();
   uint64_t iters = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system->SelectTasks(worker, 10));
+    benchmark::DoNotOptimize(rank());
     ++iters;
   }
   if (iters > 0) {
@@ -336,17 +332,34 @@ void ServeRequestTasksLoop(benchmark::State& state, bool benefit_cache,
   }
 }
 
+// PICK over `worker`'s unanswered tasks, each scored by `score`.
+template <typename Score>
+std::vector<size_t> RankEligible(const core::DocsSystem& system, size_t worker,
+                                 Score&& score) {
+  std::vector<core::ScoredTask> scored;
+  scored.reserve(system.tasks().size());
+  for (size_t i = 0; i < system.tasks().size(); ++i) {
+    if (!system.inference().HasAnswered(worker, i)) {
+      scored.push_back({i, score(i)});
+    }
+  }
+  return core::SelectTopKFromScored(&scored, kServeK);
+}
+
+void ServeRequestTasksLoop(benchmark::State& state, size_t num_tasks) {
+  auto system = MakeServingSystem(num_tasks);
+  const size_t worker = system->WorkerIndex("bench_w0");
+  CountedRankingLoop(state,
+                     [&] { return system->SelectTasks(worker, kServeK); });
+}
+
 void BM_ServeRequestTasksWarm(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/true,
-                        /*reference_kernel=*/false);
+  ServeRequestTasksLoop(state, 512);
 }
 BENCHMARK(BM_ServeRequestTasksWarm);
 
 void BM_ServeRequestTasksWarmSweep(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/true,
-                        /*reference_kernel=*/false,
-                        /*num_tasks=*/static_cast<size_t>(state.range(0)),
-                        /*benefit_index=*/true);
+  ServeRequestTasksLoop(state, static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_ServeRequestTasksWarmSweep)
     ->Arg(1000)
@@ -355,10 +368,13 @@ BENCHMARK(BM_ServeRequestTasksWarmSweep)
     ->ArgName("n");
 
 void BM_ServeRequestTasksWarmScan(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/true,
-                        /*reference_kernel=*/false,
-                        /*num_tasks=*/static_cast<size_t>(state.range(0)),
-                        /*benefit_index=*/false);
+  auto system = MakeServingSystem(static_cast<size_t>(state.range(0)));
+  const size_t worker = system->WorkerIndex("bench_w0");
+  CountedRankingLoop(state, [&] {
+    const std::vector<double> scores =
+        system->ScoreAllTasks(worker, /*bypass_cache=*/false);
+    return RankEligible(*system, worker, [&](size_t i) { return scores[i]; });
+  });
 }
 BENCHMARK(BM_ServeRequestTasksWarmScan)
     ->Arg(1000)
@@ -366,15 +382,36 @@ BENCHMARK(BM_ServeRequestTasksWarmScan)
     ->Arg(100000)
     ->ArgName("n");
 
+// Cold rescoring from live inference state: the reference kernel allocates
+// per (task, answer) pair; the fused kernel stages everything in `scratch`.
+void ServeRequestTasksColdLoop(benchmark::State& state,
+                               core::BenefitScratch* scratch) {
+  auto system = MakeServingSystem(512);
+  const size_t worker = system->WorkerIndex("bench_w0");
+  const core::IncrementalTruthInference& inference = system->inference();
+  const std::vector<double>& quality = inference.worker_quality(worker).quality;
+  const double clamp = core::TaskAssignerOptions{}.quality_clamp;
+  CountedRankingLoop(state, [&] {
+    return RankEligible(*system, worker, [&](size_t i) {
+      const core::Task& task = system->tasks()[i];
+      return scratch == nullptr
+                 ? core::Benefit(task, inference.truth_matrix(i),
+                                 inference.task_truth(i), quality, clamp)
+                 : core::Benefit(task, inference.truth_matrix(i),
+                                 inference.task_truth(i), quality, clamp,
+                                 scratch);
+    });
+  });
+}
+
 void BM_ServeRequestTasksCold(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/false,
-                        /*reference_kernel=*/true);
+  ServeRequestTasksColdLoop(state, /*scratch=*/nullptr);
 }
 BENCHMARK(BM_ServeRequestTasksCold);
 
 void BM_ServeRequestTasksColdFused(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/false,
-                        /*reference_kernel=*/false);
+  core::BenefitScratch scratch;
+  ServeRequestTasksColdLoop(state, &scratch);
 }
 BENCHMARK(BM_ServeRequestTasksColdFused);
 

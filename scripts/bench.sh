@@ -8,7 +8,8 @@
 # Runs, from a Release build:
 #   1. bench_micro --benchmark_filter=BM_ServeRequestTasks — ns/op and
 #      allocations/op for the warm cached path, the seed-era cold path
-#      (cache off + allocating reference kernel) and the fused cold path;
+#      (every eligible task rescored with the allocating reference kernel)
+#      and the fused cold path;
 #   2. bench_server --mode=warm and --mode=mixed — end-to-end wire latency
 #      percentiles (p50/p95/p99) over real TCP;
 #   3. the §13 scaling sweeps: bench_server --mode=mixed over
@@ -167,9 +168,10 @@ if speedup <= 1.0:
 PY
 
 # --- §16 benefit-index scaling sweep -> BENCH_10.json ------------------------
-# Reuses the bench_micro run above: the WarmSweep (index on) and WarmScan
-# (index off) families cover n = 1k/10k/100k tasks. Both are single-threaded
-# runs of the same binary, so the sub-linearity gate applies on any host.
+# Reuses the bench_micro run above: the WarmSweep (index-served) and WarmScan
+# (warm cache row scan) families cover n = 1k/10k/100k tasks. Both are
+# single-threaded runs of the same binary, so the sub-linearity gate applies
+# on any host.
 python3 - "$TMP/micro.json" "$OUT10" "$QUICK" <<'PY'
 import json
 import sys

@@ -71,11 +71,13 @@ class ThreadPool {
 
  private:
   void WorkerLoop() DOCS_EXCLUDES(mutex_);
-  /// Claims and executes chunks of the job tagged `generation` until none
-  /// remain or the ticket's generation moves on; returns the number of chunks
-  /// this thread completed. `fn` is dereferenced only after a successful
-  /// claim, which proves the job (and the caller's fn) is still alive.
-  size_t DrainChunks(uint64_t generation, const std::function<void(size_t)>* fn)
+  /// Claims and executes chunks of the job tagged `generation`, which has
+  /// `num_chunks` chunks, until none remain or the ticket's generation moves
+  /// on; returns the number of chunks this thread completed. `fn` is
+  /// dereferenced only after a successful claim, which proves the job (and
+  /// the caller's fn) is still alive.
+  size_t DrainChunks(uint64_t generation, size_t num_chunks,
+                     const std::function<void(size_t)>* fn)
       DOCS_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
@@ -90,10 +92,13 @@ class ThreadPool {
   /// fn from) a later job — the tag mismatch fences it off. Wrap-around would
   /// need a worker to stall across exactly 2^32 Run() generations.
   std::atomic<uint64_t> ticket_{0};
-  /// Chunk count of the active job. Atomic because stragglers from an older
-  /// generation may load it while Run() resets it; the generation-checked
-  /// claim ensures a stale value never admits an fn call.
-  std::atomic<size_t> num_chunks_{0};
+  /// Chunk count of the active job. Workers copy it under the mutex together
+  /// with job_ and generation_, so a claim is bounded by its own job's count:
+  /// a straggler that read the NEXT job's larger count while the ticket still
+  /// carried its own generation could otherwise claim a chunk past the end of
+  /// its job, run it through the old (dead) fn, and over-count completed_ so
+  /// that the next Run() waits forever.
+  size_t num_chunks_ DOCS_GUARDED_BY(mutex_) = 0;
   size_t completed_ DOCS_GUARDED_BY(mutex_) = 0;
   uint64_t generation_ DOCS_GUARDED_BY(mutex_) = 0;  ///< bumped per Run()
   std::exception_ptr first_error_ DOCS_GUARDED_BY(mutex_);  ///< see Run()

@@ -35,7 +35,6 @@ ThreadPool* DocsSystem::ScoringPool() {
 }
 
 std::vector<CachedBenefit>* DocsSystem::CacheRow(size_t worker) {
-  if (!options_.benefit_cache) return nullptr;
   if (benefit_cache_.size() <= worker) benefit_cache_.resize(worker + 1);
   std::vector<CachedBenefit>* row = &benefit_cache_[worker];
   // Zero-initialized entries carry epoch 0, which live epochs (starting at
@@ -45,7 +44,6 @@ std::vector<CachedBenefit>* DocsSystem::CacheRow(size_t worker) {
 }
 
 BenefitIndex* DocsSystem::IndexRow(size_t worker) {
-  if (!options_.benefit_index || !options_.benefit_cache) return nullptr;
   if (benefit_index_.size() <= worker) benefit_index_.resize(worker + 1);
   return &benefit_index_[worker];
 }
@@ -76,14 +74,13 @@ std::vector<size_t> DocsSystem::RankCore(
     const std::function<double(size_t)>& score,
     std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
     const uint64_t* task_epochs, uint64_t generation, ThreadPool* pool,
-    std::atomic<bool>* saw_miss, bool* had_candidates) {
+    std::atomic<bool>* saw_miss) {
   DOCS_CHECK_EQ(eligible.size(), tasks_.size());
   std::vector<ScoredTask> scored;
   scored.reserve(tasks_.size());
   for (size_t i = 0; i < tasks_.size(); ++i) {
     if (eligible[i]) scored.push_back({i, 0.0});
   }
-  *had_candidates = !scored.empty();
   ParallelFor(pool, scored.size(), [&](size_t s) {
     scored[s].value = ScoreOne(scored[s].task, score, cache, worker_epoch,
                                task_epochs, generation, saw_miss);
@@ -188,32 +185,24 @@ std::vector<size_t> DocsSystem::RankWithIndex(
     const std::function<bool(size_t)>& eligible_one,
     const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
     ThreadPool* pool, const InferenceSnapshot* snap) {
+  // A request for nothing ranks nothing: no rebuild, no repair, no tally.
+  if (k == 0) return {};
   // One saw-miss flag spans the repair phase AND the scan fallback: a pass
-  // that recomputed any score anywhere is a request miss, exactly as on the
-  // pre-index scan path.
+  // that recomputed any score anywhere is a request miss.
   std::atomic<bool> saw_miss{false};
-  bool had_candidates = false;
-  std::vector<size_t> selected;
-  bool served = false;
-  if (index != nullptr) {
-    auto ranked =
-        TryRankViaIndex(worker, index, k, score, cache, worker_epoch,
-                        task_epochs, generation, eligible_one, pool, snap,
-                        &saw_miss);
-    if (ranked.has_value()) {
-      selected = std::move(*ranked);
-      had_candidates = index->size() > 0;
-      served = true;
-    }
-  }
-  if (!served) {
-    selected = RankCore(eligible_bitmap(), k, score, cache, worker_epoch,
-                        task_epochs, generation, pool, &saw_miss,
-                        &had_candidates);
-  }
+  auto ranked = TryRankViaIndex(worker, index, k, score, cache, worker_epoch,
+                                task_epochs, generation, eligible_one, pool,
+                                snap, &saw_miss);
+  std::vector<size_t> selected =
+      ranked.has_value()
+          ? std::move(*ranked)
+          : RankCore(eligible_bitmap(), k, score, cache, worker_epoch,
+                     task_epochs, generation, pool, &saw_miss);
   // Request-level accounting: the whole pass is one lookup from the serving
-  // path's point of view — fully cache-served or not.
-  if (cache != nullptr && had_candidates) {
+  // path's point of view — fully cache-served or not. A pass that found no
+  // eligible task served nothing and is not counted, whichever route ran:
+  // with k > 0 both routes return a task iff one was eligible.
+  if (!selected.empty()) {
     if (saw_miss.load(std::memory_order_relaxed)) {
       benefit_cache_request_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -332,6 +321,8 @@ Status DocsSystem::SaveWorker(const std::string& external_id,
 std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   if (worker >= workers_.size() || inference_ == nullptr) return {};
   ++lease_clock_;
+  // A request for nothing grants nothing — golden probes included.
+  if (k == 0) return {};
   WorkerProfile& profile = workers_[worker];
 
   // Golden phase first: probe the new worker's per-domain quality. The
@@ -369,14 +360,13 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // the top k — so they all route through RankWithIndex: the per-worker
   // benefit index when it can serve the request (DESIGN.md §16), otherwise
   // the deterministic parallel scan over the epoch-tagged benefit cache.
-  std::vector<CachedBenefit>* cache = CacheRow(worker);
-  const uint64_t worker_epoch =
-      cache != nullptr ? inference_->worker_epoch(worker) : 0;
-  const uint64_t generation = cache != nullptr ? inference_->generation() : 0;
   auto selected = RankWithIndex(
-      worker, IndexRow(worker), k, MakeScoreFn(worker), cache, worker_epoch,
-      inference_->task_epochs().data(), generation, eligible_one,
-      eligible_bitmap, ScoringPool(), nullptr);
+      worker, IndexRow(worker), k,
+      MakeScoreFn(inference_->worker_quality(worker).quality, nullptr,
+                  quality_scratch_),
+      CacheRow(worker), inference_->worker_epoch(worker),
+      inference_->task_epochs().data(), inference_->generation(),
+      eligible_one, eligible_bitmap, ScoringPool(), nullptr);
   GrantLeases(worker, selected);
   return selected;
 }
@@ -398,15 +388,21 @@ void DocsSystem::BuildEligibilityBitmap(size_t worker,
   }
 }
 
-std::function<double(size_t)> DocsSystem::MakeScoreFn(size_t worker) {
-  return MakeScoreFn(worker, quality_scratch_);
-}
-
 std::function<double(size_t)> DocsSystem::MakeScoreFn(
-    size_t worker, std::vector<double>& quality) {
+    const std::vector<double>& worker_quality, const InferenceSnapshot* snap,
+    std::vector<double>& quality) {
+  // Each rule picks its posterior source once, here, not per score.
+  if (options_.selection_rule == SelectionRule::kUncertainty) {
+    // Ablation: most ambiguous tasks first, worker ignored.
+    if (snap != nullptr) {
+      return [snap](size_t i) { return Entropy(snap->tasks[i]->truth); };
+    }
+    return [this](size_t i) { return Entropy(inference_->task_truth(i)); };
+  }
+
+  quality = worker_quality;
   if (options_.selection_rule == SelectionRule::kDomainMax) {
     // D-Max: rank by domain match sum_k r_k q^w_k only.
-    quality = inference_->worker_quality(worker).quality;
     return [this, &quality](size_t i) {
       double match = 0.0;
       for (size_t d = 0; d < quality.size(); ++d) {
@@ -416,14 +412,6 @@ std::function<double(size_t)> DocsSystem::MakeScoreFn(
     };
   }
 
-  if (options_.selection_rule == SelectionRule::kUncertainty) {
-    // Ablation: most ambiguous tasks first, worker ignored.
-    return [this](size_t i) { return Entropy(inference_->task_truth(i)); };
-  }
-
-  // Benefit rules score against the live inference state (no matrix copies),
-  // exactly as TaskAssigner::SelectTopK does.
-  quality = inference_->worker_quality(worker).quality;
   if (options_.selection_rule == SelectionRule::kQualityBlind) {
     // Ablation: flatten the worker's profile to its mean — the benefit
     // still reacts to confidence but no longer to domain match.
@@ -432,16 +420,17 @@ std::function<double(size_t)> DocsSystem::MakeScoreFn(
     mean /= std::max<size_t>(1, quality.size());
     std::fill(quality.begin(), quality.end(), mean);
   }
-  if (options_.reference_kernel) {
-    return [this, &quality](size_t i) {
-      return Benefit(tasks_[i], inference_->truth_matrix(i),
-                     inference_->task_truth(i), quality,
-                     options_.assigner.quality_clamp);
+  // Per-thread arena: the scoring pass fans out over the pool, and the
+  // fused kernel's intermediates are private to one Benefit call.
+  if (snap != nullptr) {
+    return [this, snap, &quality](size_t i) {
+      thread_local BenefitScratch scratch;
+      const TaskPosteriorSnapshot& task = *snap->tasks[i];
+      return Benefit(tasks_[i], task.truth_matrix, task.truth, quality,
+                     options_.assigner.quality_clamp, &scratch);
     };
   }
   return [this, &quality](size_t i) {
-    // Per-thread arena: the scoring pass fans out over the pool, and the
-    // fused kernel's intermediates are private to one Benefit call.
     thread_local BenefitScratch scratch;
     return Benefit(tasks_[i], inference_->truth_matrix(i),
                    inference_->task_truth(i), quality,
@@ -456,15 +445,12 @@ bool DocsSystem::CanServeSharded(size_t worker) const {
   if (!workers_[worker].golden_done) return false;
   // Row sizing mutates shared structure (deque growth, row allocation);
   // only the exclusive path may do it — sharded serving needs the row ready.
-  if (options_.benefit_cache) {
-    if (benefit_cache_.size() <= worker) return false;
-    if (benefit_cache_[worker].size() != tasks_.size()) return false;
-    // The index row, like the cache row, is allocated (deque growth) only on
-    // the exclusive path; the sharded path may mutate its contents under the
-    // worker's stripe but never the container.
-    if (options_.benefit_index && benefit_index_.size() <= worker) return false;
-  }
-  return true;
+  if (benefit_cache_.size() <= worker) return false;
+  if (benefit_cache_[worker].size() != tasks_.size()) return false;
+  // The index row, like the cache row, is allocated (deque growth) only on
+  // the exclusive path; the sharded path may mutate its contents under the
+  // worker's stripe but never the container.
+  return benefit_index_.size() > worker;
 }
 
 void DocsSystem::BeginShardedSelect(size_t worker,
@@ -481,16 +467,9 @@ std::vector<size_t> DocsSystem::ScoreAndRankSharded(size_t worker,
                                                     ThreadPool* pool) {
   // CanServeSharded guaranteed the rows are sized; no CacheRow/IndexRow here —
   // those paths may resize, which only the exclusive lock permits.
-  std::vector<CachedBenefit>* cache =
-      options_.benefit_cache ? &benefit_cache_[worker] : nullptr;
-  BenefitIndex* index = (cache != nullptr && options_.benefit_index)
-                            ? &benefit_index_[worker]
-                            : nullptr;
-  const uint64_t worker_epoch =
-      cache != nullptr ? inference_->worker_epoch(worker) : 0;
-  const uint64_t generation = cache != nullptr ? inference_->generation() : 0;
   const std::function<double(size_t)> score =
-      MakeScoreFn(worker, scratch.quality);
+      MakeScoreFn(inference_->worker_quality(worker).quality, nullptr,
+                  scratch.quality);
   // Eligibility was frozen into the scratch bitmap under the assign lock
   // (BeginShardedSelect); both the index walk and the scan fallback read that
   // same frozen view, so the two paths pick from an identical candidate set.
@@ -500,9 +479,12 @@ std::vector<size_t> DocsSystem::ScoreAndRankSharded(size_t worker,
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(worker, index, k, score, cache, worker_epoch,
-                       inference_->task_epochs().data(), generation,
-                       eligible_one, eligible_bitmap, pool, nullptr);
+  return RankWithIndex(worker, &benefit_index_[worker], k, score,
+                       &benefit_cache_[worker],
+                       inference_->worker_epoch(worker),
+                       inference_->task_epochs().data(),
+                       inference_->generation(), eligible_one, eligible_bitmap,
+                       pool, nullptr);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -538,13 +520,13 @@ std::vector<double> DocsSystem::ScoreAllTasks(size_t worker,
                                               bool bypass_cache) {
   std::vector<double> scores(tasks_.size(), 0.0);
   if (worker >= workers_.size() || inference_ == nullptr) return scores;
-  const std::function<double(size_t)> score = MakeScoreFn(worker);
+  const std::function<double(size_t)> score = MakeScoreFn(
+      inference_->worker_quality(worker).quality, nullptr, quality_scratch_);
   std::vector<CachedBenefit>* cache = bypass_cache ? nullptr : CacheRow(worker);
-  const uint64_t worker_epoch =
-      cache != nullptr ? inference_->worker_epoch(worker) : 0;
-  const uint64_t generation = cache != nullptr ? inference_->generation() : 0;
+  const uint64_t worker_epoch = inference_->worker_epoch(worker);
+  const uint64_t generation = inference_->generation();
   ParallelFor(ScoringPool(), tasks_.size(), [&](size_t i) {
-    // Test hook, not a serving pass: skip the request-level tally.
+    // Not a serving pass: skip the request-level tally.
     scores[i] = ScoreOne(i, score, cache, worker_epoch,
                          inference_->task_epochs().data(), generation, nullptr);
   });
@@ -865,45 +847,6 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
   return snap;
 }
 
-std::function<double(size_t)> DocsSystem::MakeSnapshotScoreFn(
-    const InferenceSnapshot& snap, const WorkerSnapshot& view,
-    std::vector<double>& quality) {
-  if (options_.selection_rule == SelectionRule::kDomainMax) {
-    quality = view.quality;
-    return [this, &quality](size_t i) {
-      double match = 0.0;
-      for (size_t d = 0; d < quality.size(); ++d) {
-        match += tasks_[i].domain_vector[d] * quality[d];
-      }
-      return match;
-    };
-  }
-
-  if (options_.selection_rule == SelectionRule::kUncertainty) {
-    return [&snap](size_t i) { return Entropy(snap.tasks[i]->truth); };
-  }
-
-  quality = view.quality;
-  if (options_.selection_rule == SelectionRule::kQualityBlind) {
-    double mean = 0.0;
-    for (double q : quality) mean += q;
-    mean /= std::max<size_t>(1, quality.size());
-    std::fill(quality.begin(), quality.end(), mean);
-  }
-  if (options_.reference_kernel) {
-    return [this, &snap, &quality](size_t i) {
-      return Benefit(tasks_[i], snap.tasks[i]->truth_matrix,
-                     snap.tasks[i]->truth, quality,
-                     options_.assigner.quality_clamp);
-    };
-  }
-  return [this, &snap, &quality](size_t i) {
-    thread_local BenefitScratch scratch;
-    return Benefit(tasks_[i], snap.tasks[i]->truth_matrix, snap.tasks[i]->truth,
-                   quality, options_.assigner.quality_clamp, &scratch);
-  };
-}
-
 std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
     const InferenceSnapshot& snap, size_t worker, ShardScratch& scratch,
     size_t k, ThreadPool* pool) {
@@ -912,11 +855,8 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
   // an entry written against a newer snapshot (or by the exclusive path)
   // self-invalidates here, and a hit always reproduces the score this
   // snapshot's posteriors would yield.
-  std::vector<CachedBenefit>* cache =
-      options_.benefit_cache ? view.cache_row : nullptr;
-  BenefitIndex* index = cache != nullptr ? view.index : nullptr;
   const std::function<double(size_t)> score =
-      MakeSnapshotScoreFn(snap, view, scratch.quality);
+      MakeScoreFn(view.quality, &snap, scratch.quality);
   // Same frozen-bitmap discipline as the sharded sync path: eligibility was
   // captured under the assign lock, and both the index walk and the scan
   // fallback pick from that one candidate set.
@@ -926,9 +866,9 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(worker, index, k, score, cache, view.epoch,
-                       snap.task_epochs.data(), snap.generation, eligible_one,
-                       eligible_bitmap, pool, &snap);
+  return RankWithIndex(worker, view.index, k, score, view.cache_row,
+                       view.epoch, snap.task_epochs.data(), snap.generation,
+                       eligible_one, eligible_bitmap, pool, &snap);
 }
 
 void DocsSystem::OnAnswer(size_t worker, size_t task, size_t choice) {

@@ -96,25 +96,6 @@ struct DocsSystemOptions {
   /// 0 = hardware concurrency, 1 = the historical sequential behavior.
   /// Results are bit-identical for every value; see DESIGN.md §8.
   size_t num_threads = 0;
-  /// Epoch-tagged benefit cache (DESIGN.md §11): SelectTasks memoizes each
-  /// (worker, task) score and rescores only pairs whose task or worker
-  /// inference state moved since. Selections are bit-identical with the
-  /// cache on or off (tests/benefit_cache_test.cc proves it); the knob
-  /// exists for that equivalence suite and for benchmarking the cold path.
-  bool benefit_cache = true;
-  /// Per-worker ordered benefit index over the cache rows (DESIGN.md §16): a
-  /// warm RequestTasks reads the top-k eligible tasks off a lazily repaired
-  /// max-heap — O(k log n) — instead of scanning all n cached scores.
-  /// Requires benefit_cache (silently inert without it). Selections are
-  /// bit-identical with the index on or off (tests/benefit_index_test.cc);
-  /// the knob exists for that suite and for benchmarking the scan path.
-  bool benefit_index = true;
-  /// Routes benefit scoring through the allocating reference kernel instead
-  /// of the fused scratch-arena kernel. The two are bit-identical; the
-  /// reference is retained as the spec oracle and as the seed-era baseline
-  /// for the allocation benchmarks. Only meaningful for kBenefit /
-  /// kQualityBlind rules.
-  bool reference_kernel = false;
   /// Decouple inference from serving (DESIGN.md §15): SubmitAnswer validates
   /// against the submission books and enqueues onto a background inference
   /// service, and RequestTasks scores against the last published immutable
@@ -208,7 +189,7 @@ class DocsSystem : public AssignmentPolicy {
   /// (worker, task) scores answered from a still-valid cache entry vs.
   /// recomputed. One serving request touches O(n) rows, so these are the
   /// wrong unit for a hit-*rate* — use the request-level counters below for
-  /// that. Monotonic over the system's lifetime; 0 with the cache disabled.
+  /// that. Monotonic over the system's lifetime.
   uint64_t benefit_cache_hits() const {
     return benefit_cache_hits_.load(std::memory_order_relaxed);
   }
@@ -216,13 +197,13 @@ class DocsSystem : public AssignmentPolicy {
     return benefit_cache_misses_.load(std::memory_order_relaxed);
   }
 
-  /// Request-level cache counters: one count per serving scoring pass (a
-  /// SelectTasks call that reached OTA ranking). A pass that recomputed
-  /// nothing — every eligible task served from the cache — is a request
+  /// Request-level cache counters: one count per serving scoring pass that
+  /// granted at least one task. A pass that recomputed nothing — every
+  /// score it needed served from the cache or the index — is a request
   /// hit; a pass that recomputed at least one score is a request miss.
   /// hit / (hit + miss) is the hit-rate a dashboard should display.
-  /// Golden-phase grants and the ScoreAllTasks test hook do not count.
-  /// Monotonic; 0 with the cache disabled.
+  /// Golden-phase grants, passes that found no eligible task, k = 0
+  /// requests and ScoreAllTasks do not count. Monotonic.
   uint64_t benefit_cache_request_hits() const {
     return benefit_cache_request_hits_.load(std::memory_order_relaxed);
   }
@@ -235,7 +216,7 @@ class DocsSystem : public AssignmentPolicy {
   /// repairs counts targeted in-place fixups driven by the engine's mutation
   /// log or a snapshot's changed-task diff; rebuilds counts full O(n)
   /// reconstructions (first contact, worker-epoch or generation staleness,
-  /// feed-cursor gaps). Monotonic; 0 with the index or cache disabled.
+  /// feed-cursor gaps). Monotonic.
   uint64_t benefit_index_pops() const {
     return benefit_index_pops_.load(std::memory_order_relaxed);
   }
@@ -255,8 +236,9 @@ class DocsSystem : public AssignmentPolicy {
   /// Scores every task for `worker` under the configured selection rule and
   /// returns the raw scores (ignoring eligibility). With `bypass_cache` the
   /// pass recomputes from live inference state without reading or writing
-  /// the benefit cache. Test hook: the cache-equivalence suite asserts the
-  /// warm and bypass passes are bitwise equal after every mutation class.
+  /// the benefit cache; without it, the pass reads and refreshes the
+  /// worker's cache row (and moves the row-level counters). The ranking
+  /// oracle suite asserts both passes bitwise equal to a test-side scan.
   std::vector<double> ScoreAllTasks(size_t worker, bool bypass_cache);
 
   /// Re-runs the full iterative inference over all stored answers, restarting
@@ -288,9 +270,9 @@ class DocsSystem : public AssignmentPolicy {
   };
 
   /// True when `worker` can be served without the exclusive lock: she is
-  /// registered, past the golden phase, and (with the cache enabled) her
-  /// cache row is already sized — first contact, golden probes, and row
-  /// growth all mutate shared structure and take the exclusive path.
+  /// registered, past the golden phase, and her cache row and index are
+  /// already allocated — first contact, golden probes, and row growth all
+  /// mutate shared structure and take the exclusive path.
   bool CanServeSharded(size_t worker) const;
 
   /// Phase 1: advances the lease clock and snapshots the worker's
@@ -398,31 +380,28 @@ class DocsSystem : public AssignmentPolicy {
   /// exclusive scan fallback and the sharded phase-1 snapshot.
   void BuildEligibilityBitmap(size_t worker, std::vector<uint8_t>* eligible);
 
-  /// Builds the selection-rule scoring function for `worker`. Stages the
-  /// worker's (possibly flattened) quality vector in quality_scratch_, so
-  /// the returned callable must not outlive the current scoring pass.
-  std::function<double(size_t)> MakeScoreFn(size_t worker);
-  /// Same, staging the quality vector into caller-owned storage so sharded
-  /// passes for different workers never share scratch. The callable borrows
-  /// `quality` — it must outlive the scoring pass.
-  std::function<double(size_t)> MakeScoreFn(size_t worker,
-                                            std::vector<double>& quality);
+  /// Builds the selection-rule scoring function for a worker whose quality
+  /// vector is `worker_quality`, reading task posteriors from `snap` (a
+  /// published snapshot) or, when null, from the live engine. Stages the
+  /// (possibly flattened) quality vector in `quality`, which the callable
+  /// borrows along with `snap` — both must outlive the scoring pass, and
+  /// concurrent passes must use distinct `quality` storage.
+  std::function<double(size_t)> MakeScoreFn(
+      const std::vector<double>& worker_quality, const InferenceSnapshot* snap,
+      std::vector<double>& quality);
 
   /// The scan ranking core: scores every eligible task (over `pool` when
   /// non-null), maintains the row-level cache counters, and returns the
   /// ordered top-k through the shared PICK helper. `task_epochs` keys the
   /// cache: the live engine's epochs on the sync paths, the published
-  /// snapshot's copy on the async serving path. Sets `*had_candidates` when
-  /// at least one task was eligible (the request-tally gate RankWithIndex
-  /// applies).
+  /// snapshot's copy on the async serving path.
   std::vector<size_t> RankCore(const std::vector<uint8_t>& eligible, size_t k,
                                const std::function<double(size_t)>& score,
                                std::vector<CachedBenefit>* cache,
                                uint64_t worker_epoch,
                                const uint64_t* task_epochs,
                                uint64_t generation, ThreadPool* pool,
-                               std::atomic<bool>* saw_miss,
-                               bool* had_candidates);
+                               std::atomic<bool>* saw_miss);
 
   /// The index-accelerated ranking attempt (DESIGN.md §16): syncs `index` to
   /// (worker_epoch, generation) — full rebuild on a tag mismatch or feed
@@ -438,10 +417,11 @@ class DocsSystem : public AssignmentPolicy {
       const std::function<bool(size_t)>& eligible_one, ThreadPool* pool,
       const InferenceSnapshot* snap, std::atomic<bool>* saw_miss);
 
-  /// The one ranking front door every serving path uses: tries the index
-  /// (when non-null), falls back to the scan over `eligible_bitmap()` (built
-  /// lazily — the index fast path never pays the O(n) bitmap fill), and
-  /// tallies the request-level cache counters across whichever path served.
+  /// The one ranking front door every serving path uses: tries the index,
+  /// falls back to the scan over `eligible_bitmap()` (built lazily — the
+  /// index fast path never pays the O(n) bitmap fill), and tallies the
+  /// request-level cache counters across whichever path served. k = 0
+  /// returns at once.
   std::vector<size_t> RankWithIndex(
       size_t worker, BenefitIndex* index, size_t k,
       const std::function<double(size_t)>& score,
@@ -451,17 +431,15 @@ class DocsSystem : public AssignmentPolicy {
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
       ThreadPool* pool, const InferenceSnapshot* snap);
 
-  /// The worker's benefit-cache row sized to the task count, or nullptr when
-  /// the cache is disabled.
+  /// The worker's benefit-cache row sized to the task count.
   std::vector<CachedBenefit>* CacheRow(size_t worker);
 
   /// The worker's benefit index, growing the container as needed (exclusive
   /// path only — sharded and snapshot paths reach the index through
-  /// pre-sized references/pointers); nullptr when the index or the cache is
-  /// disabled.
+  /// pre-sized references/pointers).
   BenefitIndex* IndexRow(size_t worker);
 
-  /// One cached score: probes `cache` (when non-null) under the live
+  /// One cached score: probes `cache` (nullptr = score uncached) under the
   /// (task, worker, generation) key, recomputing and refreshing the entry on
   /// a miss (recorded in `*saw_miss` when provided). Thread-safe across
   /// distinct `task` values: each task owns its cache slot and the counters
@@ -490,14 +468,6 @@ class DocsSystem : public AssignmentPolicy {
   bool HasAnsweredView(size_t worker, size_t task) const;
   size_t AnsweredCountView(size_t task) const;
   bool AtAnswerCap(size_t task) const;
-
-  /// Selection-rule scoring against a published snapshot: reads the
-  /// snapshot's posteriors and the worker view's quality instead of the live
-  /// engine. The callable borrows `snap` and `quality` (caller scratch, as
-  /// with the sharded MakeScoreFn) — both must outlive the scoring pass.
-  std::function<double(size_t)> MakeSnapshotScoreFn(
-      const InferenceSnapshot& snap, const WorkerSnapshot& view,
-      std::vector<double>& quality);
 
   /// Lease bookkeeping (no-ops while options_.lease_duration == 0).
   void GrantLeases(size_t worker, const std::vector<size_t>& granted);

@@ -127,9 +127,9 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 /// scores.
 ///
 /// Freshness is tagged, never assumed: the index remembers which source
-/// (live engine / published snapshot / standalone assigner), worker epoch and
-/// invalidation generation it was built under, plus a cursor into that
-/// source's change feed (the engine's mutation log, or the snapshot publish
+/// (live engine / published snapshot), worker epoch and invalidation
+/// generation it was built under, plus a cursor into that source's change
+/// feed (the engine's mutation log, or the snapshot publish
 /// epoch). The owner revalidates the tags before every use — a mismatch
 /// means Rebuild, a cursor gap means targeted Repair of exactly the tasks
 /// the feed names. Instances are NOT thread-safe; the owner serializes
@@ -140,7 +140,7 @@ class BenefitIndex {
   /// Which state the indexed scores were computed against. Tag mismatch =
   /// rebuild: scores from different sources are not comparable even when the
   /// numeric epochs coincide.
-  enum class Source : uint8_t { kNone = 0, kLive, kSnapshot, kStandalone };
+  enum class Source : uint8_t { kNone = 0, kLive, kSnapshot };
 
   /// True when the index still describes (source, worker_epoch, generation)
   /// over `num_tasks` tasks and only cursor catch-up may be needed.
@@ -236,48 +236,6 @@ class TaskAssigner {
                                  const std::vector<double>& worker_quality,
                                  const std::vector<uint8_t>& eligible,
                                  size_t k) const;
-
-  /// Epoch-aware SelectTopK: `task_epochs[i]` versions matrices[i]/truths[i]
-  /// and `worker_epoch` versions worker_quality; `cache` (sized to the task
-  /// count by the caller) carries scores across calls, each entry
-  /// additionally tagged with `generation` so the caller can invalidate the
-  /// whole cache by bumping one counter (DESIGN.md §16). Only tasks whose
-  /// (task, worker, generation) key went stale are rescored — on a quiet
-  /// system a repeat call costs O(eligible) cache probes plus the top-k
-  /// selection instead of O(n l m l) benefit evaluations. Scores and
-  /// therefore the returned ranking are bit-identical to the cacheless
-  /// overload. Pass nullptrs to disable caching (the plain overload does
-  /// exactly that).
-  std::vector<size_t> SelectTopK(const std::vector<Task>& tasks,
-                                 const std::vector<Matrix>& matrices,
-                                 const std::vector<std::vector<double>>& truths,
-                                 const std::vector<double>& worker_quality,
-                                 const std::vector<uint8_t>& eligible, size_t k,
-                                 const std::vector<uint64_t>* task_epochs,
-                                 uint64_t worker_epoch,
-                                 std::vector<CachedBenefit>* cache,
-                                 uint64_t generation = 0) const;
-
-  /// Index-accelerated SelectTopK for standalone assigner use: keeps `index`
-  /// synced to the cache by an O(n) integer epoch scan (repairing any
-  /// indexed task whose cache entry went stale; rebuilding on a worker-epoch
-  /// or generation change) and then reads the top-k eligible tasks off the
-  /// heap — so the expensive part, the O(n l m l) benefit evaluation, runs
-  /// only for stale tasks, and a warm call does no benefit math at all.
-  /// Selections are bit-identical to both overloads above. `index`, `cache`
-  /// and `task_epochs` are all required. The serving system does better than
-  /// the O(n) sync scan (it repairs from the engine's mutation log); this
-  /// overload is the assigner-level building block and equivalence-test
-  /// surface.
-  std::vector<size_t> SelectTopK(const std::vector<Task>& tasks,
-                                 const std::vector<Matrix>& matrices,
-                                 const std::vector<std::vector<double>>& truths,
-                                 const std::vector<double>& worker_quality,
-                                 const std::vector<uint8_t>& eligible, size_t k,
-                                 const std::vector<uint64_t>* task_epochs,
-                                 uint64_t worker_epoch,
-                                 std::vector<CachedBenefit>* cache,
-                                 uint64_t generation, BenefitIndex* index) const;
 
   const TaskAssignerOptions& options() const { return options_; }
 

@@ -1,429 +1,177 @@
-// Equivalence suite for the epoch-tagged benefit cache (DESIGN.md §11).
-//
-// The cache memoizes per-(worker, task) benefit scores keyed on the pair of
-// inference epochs; the contract is that a cached serving path is BITWISE
-// identical to recomputing every score from live inference state — after
-// every mutation class the system supports: answer submissions (including
-// the §4.2 retro-update fan-out onto co-answering workers), lease expiry,
-// the periodic full re-inference, and mid-campaign WorkerStore reseeds.
-// Every comparison below is exact (operator== on doubles), not a tolerance
-// check. scripts/ci.sh additionally runs this binary under TSan.
+// The epoch-tagged benefit cache's invalidation and accounting contracts
+// (DESIGN.md §11). A (worker, task) score is served from the cache until the
+// task's epoch, the worker's epoch or the inference generation moves; these
+// tests pin exactly which entries a mutation stales, on ScoreAllTasks row
+// counts and on the request-level tally a dashboard reads. Every selection
+// is checked against the test-side oracle of ranking_oracle.h.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <tuple>
 #include <vector>
 
-#include "client/crowd_client.h"
-#include "common/rng.h"
-#include "core/concurrent_docs_system.h"
 #include "core/docs_system.h"
-#include "crowd/worker_pool.h"
 #include "datasets/dataset.h"
-#include "kb/synthetic_kb.h"
-#include "server/crowd_gateway.h"
-#include "storage/worker_store.h"
+#include "ranking_oracle.h"
 
 namespace docs::core {
 namespace {
 
-constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
-constexpr SelectionRule kAllRules[] = {
-    SelectionRule::kBenefit, SelectionRule::kDomainMax,
-    SelectionRule::kUncertainty, SelectionRule::kQualityBlind};
+using oracle::Inputs;
+using oracle::kAllRules;
+using oracle::ReferenceScores;
+using oracle::ReferenceTopK;
+using oracle::RequestTally;
 
-std::vector<std::tuple<size_t, size_t, uint64_t>> Flatten(
-    const std::vector<ExpiredLease>& leases) {
-  std::vector<std::tuple<size_t, size_t, uint64_t>> out;
-  out.reserve(leases.size());
-  for (const auto& lease : leases) {
-    out.emplace_back(lease.worker, lease.task, lease.deadline);
-  }
-  return out;
-}
+class BenefitCacheTest : public oracle::OracleFixture {};
 
-class BenefitCacheTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    kb_ = new kb::SyntheticKb(kb::BuildSyntheticKb());
-  }
-  static void TearDownTestSuite() {
-    delete kb_;
-    kb_ = nullptr;
-  }
-  static kb::SyntheticKb* kb_;
-};
-
-kb::SyntheticKb* BenefitCacheTest::kb_ = nullptr;
-
-/// Drives a cache-enabled and a cache-disabled DocsSystem through one
-/// identical scripted campaign and asserts every observable is equal at
-/// every step. The script deliberately hits all invalidation classes:
-///  - SubmitAnswer, with several workers sharing tasks (retro fan-out);
-///  - abandoned grants reclaimed by ExpireLeases (which must NOT need any
-///    invalidation — benefit scores do not depend on leases);
-///  - the periodic RunFullInference every reinfer_every answers;
-///  - a WorkerStore reseed of an active worker plus a fresh veteran joining
-///    mid-campaign (worker-epoch bumps outside the answer path).
-TEST_F(BenefitCacheTest, CachedServingPathIsBitIdenticalAcrossRulesAndThreads) {
-  const auto dataset = datasets::MakeItemDataset(*kb_);
-  const auto truths = dataset.Truths();
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-
-  crowd::WorkerPoolOptions pool_options;
-  pool_options.num_workers = 8;
-  const auto personas = crowd::MakeWorkerPool(
-      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
-      77);
-
-  const size_t m = kb_->knowledge_base.num_domains();
-  auto store = storage::WorkerStore::InMemory(m);
-  storage::WorkerQualityRecord record;
-  record.quality.assign(m, 0.85);
-  record.weight.assign(m, 3.0);
-  ASSERT_TRUE(store.Put("veteran", record).ok());
-  ASSERT_TRUE(store.Put("vet2", record).ok());
-
-  for (SelectionRule rule : kAllRules) {
-    for (size_t threads : kThreadSweep) {
-      SCOPED_TRACE("rule " + std::to_string(static_cast<int>(rule)) + ", " +
-                   std::to_string(threads) + " threads");
-      DocsSystemOptions options;
-      options.golden_count = 5;
-      options.reinfer_every = 25;  // several full re-runs mid-campaign
-      options.lease_duration = 3;
-      options.selection_rule = rule;
-      options.num_threads = threads;
-      ASSERT_TRUE(options.benefit_cache);
-      // This suite pins the SCAN path's row-level counters (a warm index
-      // pass performs zero row lookups, which would break the hit pins
-      // below); the index-on lockstep lives in tests/benefit_index_test.cc.
-      options.benefit_index = false;
-      DocsSystemOptions cold_options = options;
-      cold_options.benefit_cache = false;
-
-      auto cached = std::make_unique<DocsSystem>(&kb_->knowledge_base, options);
-      auto uncached =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, cold_options);
-      ASSERT_TRUE(cached->AddTasks(inputs, &truths).ok());
-      ASSERT_TRUE(uncached->AddTasks(inputs, &truths).ok());
-      ASSERT_TRUE(cached->LoadWorker("veteran", store).ok());
-      ASSERT_TRUE(uncached->LoadWorker("veteran", store).ok());
-
-      std::vector<std::string> ids = {"w0", "w1", "w2",      "w3",
-                                      "w4", "w5", "veteran"};
-      Rng rng(61);  // one stream serves both systems: selections are asserted
-                    // equal before any answer is generated
-      for (size_t round = 0; round < 30; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        if (round == 15) {
-          // Mid-campaign reseeds: an active worker's quality is replaced
-          // from the store, and a new veteran joins past the golden phase.
-          ASSERT_TRUE(cached->LoadWorker("veteran", store).ok());
-          ASSERT_TRUE(uncached->LoadWorker("veteran", store).ok());
-          ASSERT_TRUE(cached->LoadWorker("vet2", store).ok());
-          ASSERT_TRUE(uncached->LoadWorker("vet2", store).ok());
-          ids.push_back("vet2");
-        }
-        const std::string& id = ids[round % ids.size()];
-        const size_t w = cached->WorkerIndex(id);
-        ASSERT_EQ(uncached->WorkerIndex(id), w);
-
-        const auto selected = cached->SelectTasks(w, 4);
-        ASSERT_EQ(uncached->SelectTasks(w, 4), selected);
-
-        if (round % 5 == 0) {
-          // Full-score probe: the warm (cache-served) pass, the bypass pass
-          // on the same system, and the cache-disabled system must agree on
-          // every task's score bit for bit.
-          const auto warm = cached->ScoreAllTasks(w, /*bypass_cache=*/false);
-          EXPECT_EQ(cached->ScoreAllTasks(w, /*bypass_cache=*/true), warm);
-          EXPECT_EQ(uncached->ScoreAllTasks(w, /*bypass_cache=*/false), warm);
-        }
-
-        for (size_t s = 0; s < selected.size(); ++s) {
-          // Every third round the worker abandons the last granted task, so
-          // ExpireLeases below has real work to reclaim.
-          if (round % 3 == 2 && s + 1 == selected.size()) continue;
-          const size_t task = selected[s];
-          const size_t choice = crowd::GenerateAnswer(
-              personas[round % personas.size()],
-              dataset.tasks[task].true_domain, dataset.tasks[task].truth,
-              dataset.tasks[task].num_choices(), rng);
-          ASSERT_TRUE(cached->SubmitAnswer(w, task, choice).ok());
-          ASSERT_TRUE(uncached->SubmitAnswer(w, task, choice).ok());
-        }
-
-        if (round == 10 || round == 20) {
-          EXPECT_EQ(Flatten(cached->ExpireLeases(cached->lease_clock())),
-                    Flatten(uncached->ExpireLeases(uncached->lease_clock())));
-        }
-      }
-
-      EXPECT_EQ(cached->InferredChoices(), uncached->InferredChoices());
-      ASSERT_EQ(cached->inference().num_workers(),
-                uncached->inference().num_workers());
-      for (size_t w = 0; w < cached->inference().num_workers(); ++w) {
-        ASSERT_EQ(cached->inference().worker_quality(w).quality,
-                  uncached->inference().worker_quality(w).quality)
-            << "worker " << w;
-        ASSERT_EQ(cached->inference().worker_quality(w).weight,
-                  uncached->inference().worker_quality(w).weight)
-            << "worker " << w;
-      }
-
-      // A quiet repeat request is served from the cache (the first call
-      // refreshes every stale pair; nothing moves in between).
-      const size_t probe = cached->WorkerIndex("w0");
-      const auto first = cached->SelectTasks(probe, 4);
-      const uint64_t hits_before = cached->benefit_cache_hits();
-      EXPECT_EQ(cached->SelectTasks(probe, 4), first);
-      EXPECT_GT(cached->benefit_cache_hits(), hits_before);
-
-      // The disabled cache never counts anything.
-      EXPECT_EQ(uncached->benefit_cache_hits(), 0u);
-      EXPECT_EQ(uncached->benefit_cache_misses(), 0u);
-    }
-  }
-}
-
+/// A submission by worker A on task t stales exactly one entry of an
+/// uninvolved worker B's cache row (t's epoch moved; B's worker epoch did
+/// not), while every entry of A's own row goes stale (her quality moved).
+/// Pinned on ScoreAllTasks row counts, then on B's index: it repairs the one
+/// logged task in place instead of rebuilding.
 TEST_F(BenefitCacheTest, InvalidationIsPreciseForUninvolvedWorkers) {
-  // A submission by worker A on task t must stale exactly one entry of an
-  // uninvolved worker B's row (task t's epoch moved; B's worker epoch did
-  // not), so B's next pass rescores one task and serves the rest cached.
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  DocsSystemOptions options;
-  options.golden_count = 0;  // straight to OTA scoring
-  options.reinfer_every = 0;
-  options.num_threads = 1;
-  options.benefit_index = false;  // row-counter pins assume the scan path
-  DocsSystem system(&kb_->knowledge_base, options);
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  DocsSystem system(&kb_->knowledge_base, QuietOptions());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+  const SelectionRule rule = SelectionRule::kBenefit;
 
   const size_t a = system.WorkerIndex("a");
   const size_t b = system.WorkerIndex("b");
   const auto granted = system.SelectTasks(a, 1);
   ASSERT_EQ(granted.size(), 1u);
-  (void)system.SelectTasks(b, 4);  // warms b's entire row (60 tasks)
+  EXPECT_EQ(system.SelectTasks(b, 4), ReferenceTopK(system, b, rule, 4));
+  EXPECT_EQ(system.benefit_cache_misses(), 120u);  // both rows scored cold
 
-  const uint64_t hits_before = system.benefit_cache_hits();
-  const uint64_t misses_before = system.benefit_cache_misses();
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
-  (void)system.SelectTasks(b, 4);
-  // b never answered granted[0], so only that task's epoch bump reaches her
-  // row; every other entry is still fresh.
-  EXPECT_EQ(system.benefit_cache_misses() - misses_before, 1u);
-  EXPECT_EQ(system.benefit_cache_hits() - hits_before, 59u);
+  uint64_t hits = system.benefit_cache_hits();
+  uint64_t misses = system.benefit_cache_misses();
+  EXPECT_EQ(system.ScoreAllTasks(b, /*bypass_cache=*/false),
+            ReferenceScores(system, b, rule));
+  EXPECT_EQ(system.benefit_cache_misses() - misses, 1u);
+  EXPECT_EQ(system.benefit_cache_hits() - hits, 59u);
 
-  // a's own row is fully stale: her quality (worker epoch) moved.
-  const uint64_t misses_mid = system.benefit_cache_misses();
-  (void)system.SelectTasks(a, 4);
-  // 59 eligible tasks (she answered one), all rescored.
-  EXPECT_EQ(system.benefit_cache_misses() - misses_mid, 59u);
+  // b's index catches up off the mutation log: one repair, no rebuild, and
+  // the repaired entry was already refreshed by the pass above.
+  const uint64_t rebuilds = system.benefit_index_rebuilds();
+  const uint64_t repairs = system.benefit_index_repairs();
+  misses = system.benefit_cache_misses();
+  EXPECT_EQ(system.SelectTasks(b, 4), ReferenceTopK(system, b, rule, 4));
+  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
+  EXPECT_EQ(system.benefit_index_repairs(), repairs + 1);
+  EXPECT_EQ(system.benefit_cache_misses(), misses);
+
+  // a's own row is fully stale: all 60 entries rescore.
+  hits = system.benefit_cache_hits();
+  EXPECT_EQ(system.ScoreAllTasks(a, /*bypass_cache=*/false),
+            ReferenceScores(system, a, rule));
+  EXPECT_EQ(system.benefit_cache_misses() - misses, 60u);
+  EXPECT_EQ(system.benefit_cache_hits(), hits);
 }
 
-/// Regression for the counter split: the old single hit/miss pair mixed
-/// per-entry lookups into one number, so "hit rate" computed from it said
-/// 98% on a system where every serving pass recomputed something. Row-level
-/// counters tally individual score lookups; request-level counters tally
-/// whole serving passes (a pass with even one recompute is a request miss).
-/// Dashboards want request_hits / (request_hits + request_misses).
+/// All four rules route through the cache and the index: on a quiet system
+/// a repeat ScoreAllTasks pass is served entirely from the row, and repeat
+/// requests are served off the fresh heap — no rebuild, no recompute, one
+/// request hit each.
+TEST_F(BenefitCacheTest, WarmRequestsKeepHittingUnderEveryRule) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
+  for (SelectionRule rule : kAllRules) {
+    SCOPED_TRACE(static_cast<int>(rule));
+    DocsSystemOptions options = QuietOptions();
+    options.selection_rule = rule;
+    DocsSystem system(&kb_->knowledge_base, options);
+    ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+    const size_t w = system.WorkerIndex("w");
+
+    const auto reference = ReferenceScores(system, w, rule);
+    EXPECT_EQ(system.ScoreAllTasks(w, /*bypass_cache=*/false), reference);
+    EXPECT_EQ(system.benefit_cache_misses(), 40u);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(system.ScoreAllTasks(w, /*bypass_cache=*/false), reference);
+    }
+    EXPECT_EQ(system.benefit_cache_misses(), 40u);
+    EXPECT_EQ(system.benefit_cache_hits(), 3u * 40u);
+
+    const auto first = system.SelectTasks(w, 5);
+    EXPECT_EQ(first, ReferenceTopK(system, w, rule, 5));
+    const uint64_t rebuilds = system.benefit_index_rebuilds();
+    const uint64_t request_hits = system.benefit_cache_request_hits();
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(system.SelectTasks(w, 5), first);
+    }
+    EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
+    EXPECT_EQ(system.benefit_cache_misses(), 40u);
+    EXPECT_EQ(system.benefit_cache_request_hits(), request_hits + 3);
+  }
+}
+
+/// Row-level counters tally individual score lookups; request-level counters
+/// tally whole serving passes (a pass with even one recompute is a request
+/// miss). Dashboards want request_hits / (request_hits + request_misses).
 TEST_F(BenefitCacheTest, RequestCountersTallyServingPassesNotRowLookups) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  DocsSystemOptions options;
-  options.golden_count = 0;
-  options.reinfer_every = 0;
-  options.num_threads = 1;
-  options.benefit_index = false;  // row-counter pins assume the scan path
-  DocsSystem system(&kb_->knowledge_base, options);
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  DocsSystem system(&kb_->knowledge_base, QuietOptions());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
 
-  // Cold pass: every row entry recomputes — 60 row misses, ONE request miss.
+  // Cold pass: the index rebuild scores all 60 tasks — ONE request miss.
   const size_t b = system.WorkerIndex("b");
   (void)system.SelectTasks(b, 4);
   EXPECT_EQ(system.benefit_cache_misses(), 60u);
   EXPECT_EQ(system.benefit_cache_request_misses(), 1u);
   EXPECT_EQ(system.benefit_cache_request_hits(), 0u);
 
-  // Quiet repeat: fully cache-served — 60 row hits, ONE request hit.
+  // Quiet repeat: served off the fresh heap without a single row lookup —
+  // ONE request hit.
   (void)system.SelectTasks(b, 4);
-  EXPECT_EQ(system.benefit_cache_hits(), 60u);
+  EXPECT_EQ(system.benefit_cache_hits(), 0u);
+  EXPECT_EQ(system.benefit_cache_misses(), 60u);
   EXPECT_EQ(system.benefit_cache_request_hits(), 1u);
   EXPECT_EQ(system.benefit_cache_request_misses(), 1u);
 
-  // One stale entry in an otherwise warm row: 59 row hits + 1 row miss, but
-  // the pass was not fully cache-served, so it is a request MISS. This is
-  // exactly the case the fused counter got wrong (59/60 row "hit rate" for
-  // a pass that had to touch live inference state).
+  // Another worker's answer stales one of b's entries: her next pass
+  // repairs and rescores that one task, so it is a request MISS although
+  // the rest of the heap stayed warm.
   const size_t a = system.WorkerIndex("a");
   const auto granted = system.SelectTasks(a, 1);
   ASSERT_EQ(granted.size(), 1u);
-  const uint64_t request_hits_warm = system.benefit_cache_request_hits();
-  const uint64_t request_misses_warm = system.benefit_cache_request_misses();
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
-  const uint64_t row_hits_before = system.benefit_cache_hits();
-  const uint64_t row_misses_before = system.benefit_cache_misses();
+  const uint64_t request_hits = system.benefit_cache_request_hits();
+  const uint64_t request_misses = system.benefit_cache_request_misses();
+  const uint64_t row_misses = system.benefit_cache_misses();
   (void)system.SelectTasks(b, 4);
-  EXPECT_EQ(system.benefit_cache_hits() - row_hits_before, 59u);
-  EXPECT_EQ(system.benefit_cache_misses() - row_misses_before, 1u);
-  EXPECT_EQ(system.benefit_cache_request_misses(), request_misses_warm + 1);
-  EXPECT_EQ(system.benefit_cache_request_hits(), request_hits_warm);
+  EXPECT_EQ(system.benefit_cache_misses() - row_misses, 1u);
+  EXPECT_EQ(system.benefit_cache_request_misses(), request_misses + 1);
+  EXPECT_EQ(system.benefit_cache_request_hits(), request_hits);
 
-  // The full-score test hook is not a serving pass: row counters move (it
-  // walks every entry) but the request tally must not.
-  const uint64_t request_hits_probe = system.benefit_cache_request_hits();
-  const uint64_t request_misses_probe = system.benefit_cache_request_misses();
+  // ScoreAllTasks is not a serving pass: row counters move (it walks every
+  // entry) but the request tally does not.
+  const uint64_t tally = RequestTally(system);
+  const uint64_t row_hits = system.benefit_cache_hits();
   (void)system.ScoreAllTasks(b, /*bypass_cache=*/false);
-  EXPECT_EQ(system.benefit_cache_request_hits(), request_hits_probe);
-  EXPECT_EQ(system.benefit_cache_request_misses(), request_misses_probe);
-
-  // A disabled cache counts nothing at either level.
-  DocsSystemOptions cold_options = options;
-  cold_options.benefit_cache = false;
-  DocsSystem cold(&kb_->knowledge_base, cold_options);
-  ASSERT_TRUE(cold.AddTasks(inputs).ok());
-  (void)cold.SelectTasks(cold.WorkerIndex("b"), 4);
-  EXPECT_EQ(cold.benefit_cache_request_hits(), 0u);
-  EXPECT_EQ(cold.benefit_cache_request_misses(), 0u);
+  EXPECT_EQ(system.benefit_cache_hits() - row_hits, 60u);
+  EXPECT_EQ(RequestTally(system), tally);
 }
 
-/// The lockstep oracle over the wire, across reactor counts: a cached and
-/// an uncached system behind gateways with 1, 2, and 4 reactors must all
-/// produce bit-identical selections, posteriors, and worker qualities when
-/// driven through the same sequential TCP campaign. The cached gateways
-/// additionally surface the request-level counters through stats().
-TEST_F(BenefitCacheTest, GatewayLockstepIsBitIdenticalAcrossReactorCounts) {
-  const auto dataset = datasets::MakeItemDataset(*kb_);
-  const auto truths = dataset.Truths();
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  crowd::WorkerPoolOptions pool_options;
-  pool_options.num_workers = 6;
-  const auto personas = crowd::MakeWorkerPool(
-      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
-      77);
-
-  struct Outcome {
-    std::vector<std::vector<uint64_t>> selections;
-    std::vector<size_t> choices;
-    std::vector<std::vector<double>> qualities;
-  };
-  auto drive = [&](bool cache_on, size_t reactors) {
-    DocsSystemOptions options;
-    options.golden_count = 5;
-    options.reinfer_every = 25;
-    options.num_threads = 2;
-    options.benefit_cache = cache_on;
-    ConcurrentDocsSystem system(&kb_->knowledge_base, options);
-    EXPECT_TRUE(system.AddTasks(inputs, &truths).ok());
-    server::CrowdGatewayOptions gateway_options;
-    gateway_options.num_reactors = reactors;
-    server::CrowdGateway gateway(&system, gateway_options);
-    EXPECT_TRUE(gateway.Start().ok());
-
-    client::CrowdClientOptions client_options;
-    client_options.recv_timeout_ms = 5000;
-    std::vector<std::unique_ptr<client::CrowdClient>> conns;
-    for (size_t w = 0; w < 6; ++w) {
-      conns.push_back(std::make_unique<client::CrowdClient>(client_options));
-      EXPECT_TRUE(conns[w]->Connect("127.0.0.1", gateway.port()).ok());
-    }
-
-    Outcome outcome;
-    Rng rng(61);
-    for (size_t round = 0; round < 18; ++round) {
-      const size_t w = round % 6;
-      const std::string id = "w" + std::to_string(w);
-      std::vector<uint64_t> hit;
-      EXPECT_TRUE(conns[w]->RequestTasks(id, 4, &hit).ok());
-      outcome.selections.push_back(hit);
-      for (uint64_t task : hit) {
-        const size_t choice = crowd::GenerateAnswer(
-            personas[w], dataset.tasks[task].true_domain,
-            dataset.tasks[task].truth, dataset.tasks[task].num_choices(), rng);
-        EXPECT_TRUE(
-            conns[w]->SubmitAnswer(id, task, static_cast<uint32_t>(choice))
-                .ok());
-      }
-    }
-    const server::GatewayStats stats = gateway.stats();
-    if (cache_on) {
-      EXPECT_GT(stats.benefit_cache_request_hits +
-                    stats.benefit_cache_request_misses,
-                0u);
-    } else {
-      EXPECT_EQ(stats.benefit_cache_request_hits, 0u);
-      EXPECT_EQ(stats.benefit_cache_request_misses, 0u);
-      EXPECT_EQ(stats.benefit_cache_hits, 0u);
-      EXPECT_EQ(stats.benefit_cache_misses, 0u);
-    }
-    gateway.Stop();
-    outcome.choices = system.InferredChoices();
-    for (size_t w = 0; w < 6; ++w) {
-      outcome.qualities.push_back(system.WithLocked([&](DocsSystem& inner) {
-        return inner.inference().worker_quality(w).quality;
-      }));
-    }
-    return outcome;
-  };
-
-  const Outcome baseline = drive(/*cache_on=*/false, /*reactors=*/1);
-  for (size_t reactors : {size_t{1}, size_t{2}, size_t{4}}) {
-    for (bool cache_on : {false, true}) {
-      if (!cache_on && reactors == 1) continue;  // the baseline itself
-      SCOPED_TRACE(std::string(cache_on ? "cached" : "uncached") + ", " +
-                   std::to_string(reactors) + " reactors");
-      const Outcome swept = drive(cache_on, reactors);
-      EXPECT_EQ(swept.selections, baseline.selections);
-      EXPECT_EQ(swept.choices, baseline.choices);
-      ASSERT_EQ(swept.qualities, baseline.qualities);
-    }
-  }
-}
-
-TEST_F(BenefitCacheTest, WarmRequestsKeepHittingUnderEveryRule) {
-  // Rule-independence smoke: all four selection rules route through the
-  // cache, and a quiet system serves repeats entirely from it.
+/// A pass that finds no eligible task serves nothing and must not move the
+/// request tally, whichever route — index walk or scan — ran it. Here every
+/// task is capped by an outstanding lease.
+TEST_F(BenefitCacheTest, RequestCountersIgnorePassesThatServeNothing) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  for (SelectionRule rule : kAllRules) {
-    SCOPED_TRACE(static_cast<int>(rule));
-    DocsSystemOptions options;
-    options.golden_count = 0;
-    options.reinfer_every = 0;
-    options.num_threads = 1;
-    options.selection_rule = rule;
-    options.benefit_index = false;  // row-counter pins assume the scan path
-    DocsSystem system(&kb_->knowledge_base, options);
-    ASSERT_TRUE(system.AddTasks(inputs).ok());
-    const size_t w = system.WorkerIndex("w");
-    const auto first = system.SelectTasks(w, 5);
-    const uint64_t misses_after_first = system.benefit_cache_misses();
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      EXPECT_EQ(system.SelectTasks(w, 5), first);
-    }
-    EXPECT_EQ(system.benefit_cache_misses(), misses_after_first);
-    EXPECT_EQ(system.benefit_cache_hits(), 3u * 40u);
-  }
+  DocsSystemOptions options = QuietOptions();
+  options.lease_duration = 100;  // nothing expires during the test
+  options.max_answers_per_task = 1;
+  DocsSystem system(&kb_->knowledge_base, options);
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+
+  const size_t a = system.WorkerIndex("a");
+  ASSERT_EQ(system.SelectTasks(a, 40).size(), 40u);  // every task leased
+  const uint64_t tally = RequestTally(system);
+  EXPECT_EQ(tally, 1u);
+  const size_t b = system.WorkerIndex("b");
+  EXPECT_TRUE(system.SelectTasks(b, 4).empty());  // cold index, walk empty
+  EXPECT_TRUE(system.SelectTasks(b, 4).empty());  // warm index, walk empty
+  EXPECT_TRUE(system.SelectTasks(a, 4).empty());
+  EXPECT_EQ(RequestTally(system), tally);
 }
 
 }  // namespace

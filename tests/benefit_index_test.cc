@@ -1,446 +1,47 @@
-// Equivalence suite for the per-worker ordered benefit index (DESIGN.md §16).
-//
-// The index is a lazily repaired max-heap over the epoch-tagged benefit cache
-// rows; a warm RequestTasks reads the top-k eligible tasks off it in
-// O(k log n) instead of scanning all n cached scores. The contract is that an
-// index-served selection is BITWISE identical to the scan path (index off)
-// and to the cache-off path — after every mutation class: answer submissions
-// (including the §4.2 retro-update fan-out repaired from the engine's
-// mutation log), lease expiry (which must invalidate nothing), the periodic
-// full re-inference (which must invalidate everything with ONE generation
-// bump, never an O(n) epoch walk), mid-campaign WorkerStore reseeds, and
-// redundancy-cap churn that exhausts the heap walk's budget and falls back
-// to the scan. Every comparison is exact (operator== on doubles), not a
-// tolerance check. scripts/ci.sh additionally runs this binary under TSan
-// and under DOCS_DEBUG_CHECKS (which compiles in the O(n) heap audit).
+// The per-worker benefit index's invalidation contracts (DESIGN.md §16).
+// The index is a lazily repaired max-heap over the benefit cache rows; a
+// warm RequestTasks reads the top-k eligible tasks off it in O(k log n).
+// These tests pin how each mutation class reaches it: the periodic full
+// re-inference stales every index with ONE generation bump, lease expiry
+// stales nothing, an uninvolved worker's index repairs from the engine's
+// mutation log, a worker-epoch bump rebuilds, and redundancy-cap churn that
+// exhausts the walk's budget falls back to the scan. Every selection is
+// checked against the test-side oracle of ranking_oracle.h. scripts/ci.sh
+// runs this binary under DOCS_DEBUG_CHECKS (the O(n) heap audit).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "client/crowd_client.h"
-#include "common/math_utils.h"
-#include "common/rng.h"
-#include "core/concurrent_docs_system.h"
 #include "core/docs_system.h"
-#include "crowd/worker_pool.h"
 #include "datasets/dataset.h"
-#include "kb/synthetic_kb.h"
-#include "server/crowd_gateway.h"
+#include "ranking_oracle.h"
 #include "storage/worker_store.h"
 
 namespace docs::core {
 namespace {
 
-constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
-constexpr SelectionRule kAllRules[] = {
-    SelectionRule::kBenefit, SelectionRule::kDomainMax,
-    SelectionRule::kUncertainty, SelectionRule::kQualityBlind};
+using oracle::Inputs;
+using oracle::ReferenceTopK;
 
-std::vector<std::tuple<size_t, size_t, uint64_t>> Flatten(
-    const std::vector<ExpiredLease>& leases) {
-  std::vector<std::tuple<size_t, size_t, uint64_t>> out;
-  out.reserve(leases.size());
-  for (const auto& lease : leases) {
-    out.emplace_back(lease.worker, lease.task, lease.deadline);
-  }
-  return out;
-}
+class BenefitIndexTest : public oracle::OracleFixture {};
 
-class BenefitIndexTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    kb_ = new kb::SyntheticKb(kb::BuildSyntheticKb());
-  }
-  static void TearDownTestSuite() {
-    delete kb_;
-    kb_ = nullptr;
-  }
-  static kb::SyntheticKb* kb_;
-};
-
-kb::SyntheticKb* BenefitIndexTest::kb_ = nullptr;
-
-/// The sync lockstep oracle: an index-on, an index-off (scan), and a
-/// cache-off DocsSystem driven through one identical scripted campaign must
-/// agree on every observable at every step. The script hits every
-/// invalidation class the index must survive: retro fan-out across
-/// co-answering workers, abandoned grants reclaimed by ExpireLeases, the
-/// periodic RunFullInference (the O(1) generation invalidation), and
-/// mid-campaign WorkerStore reseeds.
-TEST_F(BenefitIndexTest, IndexedServingIsBitIdenticalAcrossRulesAndThreads) {
-  const auto dataset = datasets::MakeItemDataset(*kb_);
-  const auto truths = dataset.Truths();
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-
-  crowd::WorkerPoolOptions pool_options;
-  pool_options.num_workers = 8;
-  const auto personas = crowd::MakeWorkerPool(
-      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
-      77);
-
-  const size_t m = kb_->knowledge_base.num_domains();
-  auto store = storage::WorkerStore::InMemory(m);
-  storage::WorkerQualityRecord record;
-  record.quality.assign(m, 0.85);
-  record.weight.assign(m, 3.0);
-  ASSERT_TRUE(store.Put("veteran", record).ok());
-  ASSERT_TRUE(store.Put("vet2", record).ok());
-
-  for (SelectionRule rule : kAllRules) {
-    for (size_t threads : kThreadSweep) {
-      SCOPED_TRACE("rule " + std::to_string(static_cast<int>(rule)) + ", " +
-                   std::to_string(threads) + " threads");
-      DocsSystemOptions options;
-      options.golden_count = 5;
-      options.reinfer_every = 25;  // several O(1) invalidations mid-campaign
-      options.lease_duration = 3;
-      options.selection_rule = rule;
-      options.num_threads = threads;
-      ASSERT_TRUE(options.benefit_cache);
-      ASSERT_TRUE(options.benefit_index);
-      DocsSystemOptions scan_options = options;
-      scan_options.benefit_index = false;
-      DocsSystemOptions cold_options = scan_options;
-      cold_options.benefit_cache = false;
-
-      auto indexed =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, options);
-      auto scan =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, scan_options);
-      auto cold =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, cold_options);
-      for (DocsSystem* system : {indexed.get(), scan.get(), cold.get()}) {
-        ASSERT_TRUE(system->AddTasks(inputs, &truths).ok());
-        ASSERT_TRUE(system->LoadWorker("veteran", store).ok());
-      }
-
-      std::vector<std::string> ids = {"w0", "w1", "w2",      "w3",
-                                      "w4", "w5", "veteran"};
-      Rng rng(61);  // one stream serves all systems: selections are asserted
-                    // equal before any answer is generated
-      for (size_t round = 0; round < 30; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        if (round == 15) {
-          // Mid-campaign reseeds: an active worker's quality is replaced
-          // from the store (worker-epoch bump -> index rebuild), and a new
-          // veteran joins past the golden phase.
-          for (DocsSystem* system : {indexed.get(), scan.get(), cold.get()}) {
-            ASSERT_TRUE(system->LoadWorker("veteran", store).ok());
-            ASSERT_TRUE(system->LoadWorker("vet2", store).ok());
-          }
-          ids.push_back("vet2");
-        }
-        const std::string& id = ids[round % ids.size()];
-        const size_t w = indexed->WorkerIndex(id);
-        ASSERT_EQ(scan->WorkerIndex(id), w);
-        ASSERT_EQ(cold->WorkerIndex(id), w);
-
-        const auto selected = indexed->SelectTasks(w, 4);
-        ASSERT_EQ(scan->SelectTasks(w, 4), selected);
-        ASSERT_EQ(cold->SelectTasks(w, 4), selected);
-
-        if (round % 5 == 0) {
-          // Full-score probe: the cached pass and the bypass pass must agree
-          // bit for bit on the indexed system too (the probe walks the cache
-          // rows the index is built over).
-          const auto warm = indexed->ScoreAllTasks(w, /*bypass_cache=*/false);
-          EXPECT_EQ(indexed->ScoreAllTasks(w, /*bypass_cache=*/true), warm);
-          EXPECT_EQ(scan->ScoreAllTasks(w, /*bypass_cache=*/false), warm);
-        }
-
-        for (size_t s = 0; s < selected.size(); ++s) {
-          // Every third round the worker abandons the last granted task, so
-          // ExpireLeases below has real work to reclaim.
-          if (round % 3 == 2 && s + 1 == selected.size()) continue;
-          const size_t task = selected[s];
-          const size_t choice = crowd::GenerateAnswer(
-              personas[round % personas.size()],
-              dataset.tasks[task].true_domain, dataset.tasks[task].truth,
-              dataset.tasks[task].num_choices(), rng);
-          for (DocsSystem* system : {indexed.get(), scan.get(), cold.get()}) {
-            ASSERT_TRUE(system->SubmitAnswer(w, task, choice).ok());
-          }
-        }
-
-        if (round == 10 || round == 20) {
-          const auto swept =
-              Flatten(indexed->ExpireLeases(indexed->lease_clock()));
-          EXPECT_EQ(Flatten(scan->ExpireLeases(scan->lease_clock())), swept);
-          EXPECT_EQ(Flatten(cold->ExpireLeases(cold->lease_clock())), swept);
-        }
-      }
-
-      EXPECT_EQ(indexed->InferredChoices(), scan->InferredChoices());
-      EXPECT_EQ(indexed->InferredChoices(), cold->InferredChoices());
-      ASSERT_EQ(indexed->inference().num_workers(),
-                scan->inference().num_workers());
-      for (size_t w = 0; w < indexed->inference().num_workers(); ++w) {
-        ASSERT_EQ(indexed->inference().worker_quality(w).quality,
-                  scan->inference().worker_quality(w).quality)
-            << "worker " << w;
-        ASSERT_EQ(indexed->inference().worker_quality(w).weight,
-                  scan->inference().worker_quality(w).weight)
-            << "worker " << w;
-      }
-
-      // The index actually served: heap reads and rebuilds happened, and the
-      // periodic full inference registered as generation invalidations. A
-      // disabled index counts nothing.
-      EXPECT_GT(indexed->benefit_index_pops(), 0u);
-      EXPECT_GT(indexed->benefit_index_rebuilds(), 0u);
-      EXPECT_GT(indexed->benefit_index_generation_invalidations(), 0u);
-      EXPECT_EQ(scan->benefit_index_pops(), 0u);
-      EXPECT_EQ(scan->benefit_index_repairs(), 0u);
-      EXPECT_EQ(scan->benefit_index_rebuilds(), 0u);
-    }
-  }
-}
-
-/// The async lockstep oracle: with the inference decoupled onto the
-/// background service (DESIGN.md §15), an index-on and an index-off async
-/// facade — and the sync index-on facade — must produce bit-identical
-/// selections when drained before every comparison. The indexed async path
-/// exercises the snapshot branch of the index (repair from the snapshot's
-/// changed-task diff, rebuild tagged with the publish epoch).
-TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesScanAndSync) {
-  const auto dataset = datasets::MakeItemDataset(*kb_);
-  const auto truths = dataset.Truths();
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-
-  crowd::WorkerPoolOptions pool_options;
-  pool_options.num_workers = 8;
-  const auto personas = crowd::MakeWorkerPool(
-      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
-      77);
-
-  const size_t m = kb_->knowledge_base.num_domains();
-  auto store = storage::WorkerStore::InMemory(m);
-  storage::WorkerQualityRecord record;
-  record.quality.assign(m, 0.85);
-  record.weight.assign(m, 3.0);
-  ASSERT_TRUE(store.Put("veteran", record).ok());
-
-  for (SelectionRule rule : kAllRules) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("rule " + std::to_string(static_cast<int>(rule)) + ", " +
-                   std::to_string(threads) + " threads");
-      DocsSystemOptions options;
-      options.golden_count = 5;
-      options.reinfer_every = 25;
-      options.lease_duration = 3;
-      options.selection_rule = rule;
-      options.num_threads = threads;
-      ASSERT_TRUE(options.benefit_index);
-      DocsSystemOptions async_options = options;
-      async_options.async_inference = true;
-      DocsSystemOptions async_scan_options = async_options;
-      async_scan_options.benefit_index = false;
-
-      ConcurrentDocsSystem sync_system(&kb_->knowledge_base, options);
-      ConcurrentDocsSystem async_indexed(&kb_->knowledge_base, async_options);
-      ConcurrentDocsSystem async_scan(&kb_->knowledge_base,
-                                      async_scan_options);
-      for (ConcurrentDocsSystem* system :
-           {&sync_system, &async_indexed, &async_scan}) {
-        ASSERT_TRUE(system->AddTasks(inputs, &truths).ok());
-        ASSERT_TRUE(system->LoadWorker("veteran", store).ok());
-      }
-
-      std::vector<std::string> ids = {"w0", "w1", "w2",      "w3",
-                                      "w4", "w5", "veteran"};
-      Rng rng(61);
-      for (size_t round = 0; round < 24; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        const std::string& id = ids[round % ids.size()];
-
-        // Quiesce before comparing: the contract is drained-state equality,
-        // not mid-flight equality (the async systems are allowed to serve
-        // stale between publishes).
-        async_indexed.Drain();
-        async_scan.Drain();
-        const auto selected = sync_system.RequestTasks(id, 4);
-        ASSERT_EQ(async_indexed.RequestTasks(id, 4), selected);
-        ASSERT_EQ(async_scan.RequestTasks(id, 4), selected);
-
-        for (size_t s = 0; s < selected.size(); ++s) {
-          if (round % 3 == 2 && s + 1 == selected.size()) continue;
-          const size_t task = selected[s];
-          const size_t choice = crowd::GenerateAnswer(
-              personas[round % personas.size()],
-              dataset.tasks[task].true_domain, dataset.tasks[task].truth,
-              dataset.tasks[task].num_choices(), rng);
-          for (ConcurrentDocsSystem* system :
-               {&sync_system, &async_indexed, &async_scan}) {
-            ASSERT_TRUE(system->SubmitAnswer(id, task, choice).ok());
-          }
-        }
-
-        if (round == 10 || round == 20) {
-          async_indexed.Drain();
-          async_scan.Drain();
-          const auto swept =
-              Flatten(sync_system.ExpireLeases(sync_system.lease_clock()));
-          EXPECT_EQ(
-              Flatten(async_indexed.ExpireLeases(async_indexed.lease_clock())),
-              swept);
-          EXPECT_EQ(
-              Flatten(async_scan.ExpireLeases(async_scan.lease_clock())),
-              swept);
-        }
-      }
-
-      async_indexed.Drain();
-      async_scan.Drain();
-      EXPECT_EQ(async_indexed.InferredChoices(), sync_system.InferredChoices());
-      EXPECT_EQ(async_scan.InferredChoices(), sync_system.InferredChoices());
-      const size_t workers = sync_system.WithLocked(
-          [](DocsSystem& s) { return s.inference().num_workers(); });
-      for (size_t w = 0; w < workers; ++w) {
-        const auto quality = sync_system.WithLocked([&](DocsSystem& s) {
-          return s.inference().worker_quality(w).quality;
-        });
-        ASSERT_EQ(async_indexed.WithLocked([&](DocsSystem& s) {
-          return s.inference().worker_quality(w).quality;
-        }),
-                  quality)
-            << "worker " << w;
-        ASSERT_EQ(async_scan.WithLocked([&](DocsSystem& s) {
-          return s.inference().worker_quality(w).quality;
-        }),
-                  quality)
-            << "worker " << w;
-      }
-
-      // The snapshot branch of the index actually served.
-      EXPECT_GT(async_indexed.benefit_index_pops(), 0u);
-      EXPECT_GT(async_indexed.benefit_index_rebuilds(), 0u);
-      EXPECT_EQ(async_scan.benefit_index_pops(), 0u);
-      EXPECT_EQ(async_scan.benefit_index_rebuilds(), 0u);
-    }
-  }
-}
-
-/// The lockstep oracle over the wire, across reactor counts AND index
-/// modes: index-on gateways with 1, 2, and 4 reactors must reproduce the
-/// index-off single-reactor baseline bit for bit, and the index counters
-/// must surface through GatewayStats.
-TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
-  const auto dataset = datasets::MakeItemDataset(*kb_);
-  const auto truths = dataset.Truths();
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  crowd::WorkerPoolOptions pool_options;
-  pool_options.num_workers = 6;
-  const auto personas = crowd::MakeWorkerPool(
-      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
-      77);
-
-  struct Outcome {
-    std::vector<std::vector<uint64_t>> selections;
-    std::vector<size_t> choices;
-  };
-  auto drive = [&](bool index_on, size_t reactors) {
-    DocsSystemOptions options;
-    options.golden_count = 5;
-    options.reinfer_every = 25;
-    options.num_threads = 2;
-    options.benefit_index = index_on;
-    ConcurrentDocsSystem system(&kb_->knowledge_base, options);
-    EXPECT_TRUE(system.AddTasks(inputs, &truths).ok());
-    server::CrowdGatewayOptions gateway_options;
-    gateway_options.num_reactors = reactors;
-    server::CrowdGateway gateway(&system, gateway_options);
-    EXPECT_TRUE(gateway.Start().ok());
-
-    client::CrowdClientOptions client_options;
-    client_options.recv_timeout_ms = 5000;
-    std::vector<std::unique_ptr<client::CrowdClient>> conns;
-    for (size_t w = 0; w < 6; ++w) {
-      conns.push_back(std::make_unique<client::CrowdClient>(client_options));
-      EXPECT_TRUE(conns[w]->Connect("127.0.0.1", gateway.port()).ok());
-    }
-
-    Outcome outcome;
-    Rng rng(61);
-    for (size_t round = 0; round < 18; ++round) {
-      const size_t w = round % 6;
-      const std::string id = "w" + std::to_string(w);
-      std::vector<uint64_t> hit;
-      EXPECT_TRUE(conns[w]->RequestTasks(id, 4, &hit).ok());
-      outcome.selections.push_back(hit);
-      for (uint64_t task : hit) {
-        const size_t choice = crowd::GenerateAnswer(
-            personas[w], dataset.tasks[task].true_domain,
-            dataset.tasks[task].truth, dataset.tasks[task].num_choices(), rng);
-        EXPECT_TRUE(
-            conns[w]->SubmitAnswer(id, task, static_cast<uint32_t>(choice))
-                .ok());
-      }
-    }
-    const server::GatewayStats stats = gateway.stats();
-    if (index_on) {
-      EXPECT_GT(stats.benefit_index_pops + stats.benefit_index_rebuilds, 0u);
-    } else {
-      EXPECT_EQ(stats.benefit_index_pops, 0u);
-      EXPECT_EQ(stats.benefit_index_repairs, 0u);
-      EXPECT_EQ(stats.benefit_index_rebuilds, 0u);
-    }
-    gateway.Stop();
-    outcome.choices = system.InferredChoices();
-    return outcome;
-  };
-
-  const Outcome baseline = drive(/*index_on=*/false, /*reactors=*/1);
-  for (size_t reactors : {size_t{1}, size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("indexed, " + std::to_string(reactors) + " reactors");
-    const Outcome swept = drive(/*index_on=*/true, reactors);
-    EXPECT_EQ(swept.selections, baseline.selections);
-    EXPECT_EQ(swept.choices, baseline.choices);
-  }
-}
-
-/// The O(1)-invalidation regression: RunFullInference must stale every
-/// cached score and every index with a single generation bump — the
-/// per-task and per-worker epoch arrays must not move (the seed-era
-/// implementation walked them, which is exactly the O(n) cost the
-/// generation counter removes). The next serving pass rebuilds the index
-/// once and stays bit-identical to a cache-off twin.
+/// RunFullInference stales every cached score and every index with a single
+/// generation bump: the per-task and per-worker epoch arrays do not move.
+/// The next serving pass rebuilds the index once and matches the oracle.
 TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  DocsSystemOptions options;
-  options.golden_count = 0;  // straight to OTA scoring
-  options.reinfer_every = 0;  // full inference only when called explicitly
-  options.num_threads = 1;
-  ASSERT_TRUE(options.benefit_index);
-  DocsSystemOptions cold_options = options;
-  cold_options.benefit_cache = false;
-  DocsSystem system(&kb_->knowledge_base, options);
-  DocsSystem cold(&kb_->knowledge_base, cold_options);
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
-  ASSERT_TRUE(cold.AddTasks(inputs).ok());
+  DocsSystem system(&kb_->knowledge_base, QuietOptions());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
 
   const size_t w = system.WorkerIndex("w");
-  ASSERT_EQ(cold.WorkerIndex("w"), w);
   auto step = [&](size_t k) {
+    const auto expected =
+        ReferenceTopK(system, w, SelectionRule::kBenefit, k);
     const auto selected = system.SelectTasks(w, k);
-    EXPECT_EQ(cold.SelectTasks(w, k), selected);
+    EXPECT_EQ(selected, expected);
     return selected;
   };
 
@@ -449,7 +50,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const auto first = step(2);
   ASSERT_EQ(first.size(), 2u);
   ASSERT_TRUE(system.SubmitAnswer(w, first[0], 0).ok());
-  ASSERT_TRUE(cold.SubmitAnswer(w, first[0], 0).ok());
   (void)step(2);
   const uint64_t rebuilds_warm = system.benefit_index_rebuilds();
   const uint64_t pops_warm = system.benefit_index_pops();
@@ -465,7 +65,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const uint64_t invalidations_before =
       system.benefit_index_generation_invalidations();
   system.RunFullInference();
-  cold.RunFullInference();
   EXPECT_EQ(system.inference().generation(), generation_before + 1);
   EXPECT_EQ(system.benefit_index_generation_invalidations(),
             invalidations_before + 1);
@@ -475,7 +74,7 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
             system.inference().mutation_log_end());
 
   // The stale index is detected by the generation tag alone: exactly one
-  // rebuild, still bit-identical, and quiet repeats are warm again.
+  // rebuild, still on the oracle, and quiet repeats are warm again.
   const uint64_t rebuilds_before = system.benefit_index_rebuilds();
   (void)step(2);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
@@ -483,24 +82,17 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
 }
 
-/// Lease expiry must invalidate nothing: benefit scores do not depend on
+/// Lease expiry invalidates nothing: benefit scores do not depend on
 /// leases, so reclaiming abandoned grants leaves every index fresh — the
 /// next pass neither rebuilds nor repairs, and the reclaimed tasks simply
 /// become selectable again at their unchanged scores.
 TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  DocsSystemOptions options;
-  options.golden_count = 0;
-  options.reinfer_every = 0;
-  options.num_threads = 1;
+  DocsSystemOptions options = QuietOptions();
   options.lease_duration = 1;
   options.max_answers_per_task = 1;  // outstanding leases gate eligibility
   DocsSystem system(&kb_->knowledge_base, options);
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
 
   // w leases the top two tasks and abandons them; x (same default quality,
   // so the identical ranking) must take the next two.
@@ -508,6 +100,7 @@ TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
   const size_t x = system.WorkerIndex("x");
   const auto first = system.SelectTasks(w, 2);
   ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first, ReferenceTopK(system, w, SelectionRule::kBenefit, 2));
   const auto other = system.SelectTasks(x, 2);
   ASSERT_EQ(other.size(), 2u);
   EXPECT_NE(other, first);
@@ -530,38 +123,25 @@ TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
   EXPECT_GT(system.benefit_index_pops(), pops_before);
 }
 
-/// The mutation-log repair path: a submission by worker A bumps the epochs
-/// of the tasks it touched (including the §4.2 retro fan-out) and appends
-/// them to the engine's mutation log. An uninvolved worker B's index — same
-/// worker epoch, same generation — must catch up by replaying exactly that
-/// log tail (repairs, no rebuild), while A's own next pass rebuilds (her
-/// quality moved). A WorkerStore reseed is the other worker-epoch edge:
-/// rebuild, not repair. Selections stay lockstep with a scan twin
-/// throughout.
+/// The mutation-log repair path: a submission by worker A bumps the epoch of
+/// the task it touched and appends it to the engine's mutation log. An
+/// uninvolved worker B's index — same worker epoch, same generation —
+/// catches up by replaying exactly that log tail (repairs, no rebuild),
+/// while A's own next pass rebuilds (her quality moved). A WorkerStore
+/// reseed is the other worker-epoch edge: rebuild, not repair. Selections
+/// stay on the oracle throughout.
 TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  DocsSystemOptions options;
-  options.golden_count = 0;
-  options.reinfer_every = 0;
-  options.num_threads = 1;
-  DocsSystemOptions scan_options = options;
-  scan_options.benefit_index = false;
-  DocsSystem system(&kb_->knowledge_base, options);
-  DocsSystem twin(&kb_->knowledge_base, scan_options);
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
-  ASSERT_TRUE(twin.AddTasks(inputs).ok());
+  DocsSystem system(&kb_->knowledge_base, QuietOptions());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
 
   const size_t a = system.WorkerIndex("a");
   const size_t b = system.WorkerIndex("b");
-  ASSERT_EQ(twin.WorkerIndex("a"), a);
-  ASSERT_EQ(twin.WorkerIndex("b"), b);
   auto step = [&](size_t worker, size_t k) {
+    const auto expected =
+        ReferenceTopK(system, worker, SelectionRule::kBenefit, k);
     const auto selected = system.SelectTasks(worker, k);
-    EXPECT_EQ(twin.SelectTasks(worker, k), selected);
+    EXPECT_EQ(selected, expected);
     return selected;
   };
 
@@ -569,7 +149,6 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   const auto granted = step(a, 1);  // a's index: built
   ASSERT_EQ(granted.size(), 1u);
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
-  ASSERT_TRUE(twin.SubmitAnswer(a, granted[0], 0).ok());
 
   // b is uninvolved: her worker epoch did not move, so her index repairs
   // the logged tasks in place instead of rebuilding.
@@ -591,51 +170,43 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   record.weight.assign(m, 3.0);
   ASSERT_TRUE(store.Put("b", record).ok());
   ASSERT_TRUE(system.LoadWorker("b", store).ok());
-  ASSERT_TRUE(twin.LoadWorker("b", store).ok());
   const uint64_t rebuilds_mid = system.benefit_index_rebuilds();
   (void)step(b, 4);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_mid + 1);
 }
 
 /// Budget exhaustion under cap churn: when enough of the heap's top entries
-/// are ineligible (here: leased out under a redundancy cap of one), the
-/// frontier walk gives up within its visit budget and the pass falls back
-/// to the scan — which must select exactly what a cache-off twin selects.
-/// The fallback is observable as row-cache traffic (a successful index pass
+/// are ineligible (leased out under a redundancy cap of one), the frontier
+/// walk gives up within its visit budget and the pass falls back to the
+/// scan — which must still select exactly what the oracle selects. The
+/// fallback is observable as row-cache traffic (a successful index pass
 /// performs zero row lookups) with the index left fresh (no rebuild).
 TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 120, 17);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  DocsSystemOptions options;
-  options.golden_count = 0;
-  options.reinfer_every = 0;
-  options.num_threads = 1;
+  DocsSystemOptions options = QuietOptions();
   // Worker-independent ranking: every worker leases from the same global
   // order, so the v-workers below deterministically occupy w's top ranks.
   options.selection_rule = SelectionRule::kUncertainty;
   options.lease_duration = 100;  // nothing expires during the test
   options.max_answers_per_task = 1;
-  DocsSystemOptions cold_options = options;
-  cold_options.benefit_cache = false;
   DocsSystem system(&kb_->knowledge_base, options);
-  DocsSystem cold(&kb_->knowledge_base, cold_options);
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
-  ASSERT_TRUE(cold.AddTasks(inputs).ok());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
 
+  // No answers are submitted, so a task is capped iff it was granted.
+  std::vector<uint8_t> leased(system.tasks().size(), 0);
   auto step = [&](const std::string& id, size_t k) {
     const size_t worker = system.WorkerIndex(id);
-    EXPECT_EQ(cold.WorkerIndex(id), worker);
+    const auto expected =
+        ReferenceTopK(system, worker, options.selection_rule, k, &leased);
     const auto selected = system.SelectTasks(worker, k);
-    EXPECT_EQ(cold.SelectTasks(worker, k), selected);
+    EXPECT_EQ(selected, expected);
+    for (size_t task : selected) leased[task] = 1;
     return selected;
   };
 
   // w warms her index (and leases the global top task); twenty other
-  // workers then lease the next 80 ranks. No answers are submitted, so no
-  // epoch or generation ever moves: w's index stays fresh throughout.
+  // workers then lease the next 80 ranks. No epoch or generation ever
+  // moves: w's index stays fresh throughout.
   const auto top = step("w", 1);
   ASSERT_EQ(top.size(), 1u);
   for (size_t v = 0; v < 20; ++v) {
@@ -643,9 +214,9 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   }
 
   // w's next request: the 81 best-ranked tasks are all ineligible, which
-  // exceeds the k=1 walk budget (64 visits) — the pass must fall back to
-  // the scan without rebuilding the still-fresh index, and still match the
-  // cache-off twin bit for bit.
+  // exceeds the k=1 walk budget (64 visits) — the pass falls back to the
+  // scan without rebuilding the still-fresh index, and still matches the
+  // oracle bit for bit.
   const uint64_t rebuilds_before = system.benefit_index_rebuilds();
   const uint64_t row_traffic_before =
       system.benefit_cache_hits() + system.benefit_cache_misses();
@@ -655,100 +226,6 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
   EXPECT_GT(system.benefit_cache_hits() + system.benefit_cache_misses(),
             row_traffic_before);
-}
-
-// --- Standalone TaskAssigner index overload ---------------------------------
-
-// Random small OTA instance: tasks with random domain vectors and truth
-// matrices, plus a random worker quality vector (same recipe as
-// tests/ota_test.cc).
-struct OtaInstance {
-  std::vector<Task> tasks;
-  std::vector<Matrix> matrices;
-  std::vector<std::vector<double>> truths;
-  std::vector<double> worker_quality;
-};
-
-OtaInstance MakeInstance(size_t n, size_t m, size_t max_choices, Rng& rng) {
-  OtaInstance instance;
-  for (size_t i = 0; i < n; ++i) {
-    Task task;
-    task.domain_vector = rng.Dirichlet(m, 1.0);
-    task.num_choices = 2 + rng.UniformInt(max_choices - 1);
-    Matrix truth_matrix(m, task.num_choices, 0.0);
-    for (size_t k = 0; k < m; ++k) {
-      truth_matrix.SetRow(k, rng.Dirichlet(task.num_choices, 1.0));
-    }
-    std::vector<double> s = truth_matrix.LeftMultiply(task.domain_vector);
-    NormalizeInPlace(s);
-    instance.tasks.push_back(std::move(task));
-    instance.matrices.push_back(std::move(truth_matrix));
-    instance.truths.push_back(std::move(s));
-  }
-  instance.worker_quality.resize(m);
-  for (auto& q : instance.worker_quality) q = rng.UniformDoubleRange(0.3, 0.95);
-  return instance;
-}
-
-/// The assigner-level equivalence surface: the index-accelerated SelectTopK
-/// overload must return exactly what the cacheless and the cache-only
-/// overloads return — cold, warm, after a targeted task-epoch bump, after a
-/// worker-epoch bump, and after a bare generation bump.
-TEST(TaskAssignerIndexTest, IndexOverloadMatchesScanAndCachelessOverloads) {
-  Rng rng(311);
-  auto instance = MakeInstance(60, 5, 4, rng);
-  std::vector<uint8_t> eligible(60, 1);
-  for (size_t i = 0; i < 60; i += 9) eligible[i] = 0;
-  TaskAssignerOptions options;
-  options.num_threads = 1;
-  TaskAssigner assigner(options);
-
-  std::vector<uint64_t> task_epochs(60, 1);
-  uint64_t worker_epoch = 1;
-  uint64_t generation = 7;
-  std::vector<CachedBenefit> scan_cache(60);
-  std::vector<CachedBenefit> index_cache(60);
-  BenefitIndex index;
-
-  auto expect_all_equal = [&]() {
-    const auto plain =
-        assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                            instance.worker_quality, eligible, 12);
-    const auto scan = assigner.SelectTopK(
-        instance.tasks, instance.matrices, instance.truths,
-        instance.worker_quality, eligible, 12, &task_epochs, worker_epoch,
-        &scan_cache, generation);
-    const auto indexed = assigner.SelectTopK(
-        instance.tasks, instance.matrices, instance.truths,
-        instance.worker_quality, eligible, 12, &task_epochs, worker_epoch,
-        &index_cache, generation, &index);
-    EXPECT_EQ(scan, plain);
-    EXPECT_EQ(indexed, plain);
-  };
-
-  expect_all_equal();  // cold: index built from scratch
-  expect_all_equal();  // warm: served off the fresh heap
-
-  // Targeted staleness: swap two tasks' inference state and bump exactly
-  // their epochs — the index repairs those two entries in place.
-  std::swap(instance.tasks[5], instance.tasks[6]);
-  std::swap(instance.matrices[5], instance.matrices[6]);
-  std::swap(instance.truths[5], instance.truths[6]);
-  ++task_epochs[5];
-  ++task_epochs[6];
-  expect_all_equal();
-
-  // Worker staleness: a new quality vector invalidates every entry.
-  for (auto& q : instance.worker_quality) {
-    q = rng.UniformDoubleRange(0.3, 0.95);
-  }
-  worker_epoch = 2;
-  expect_all_equal();
-
-  // Generation staleness: nothing else changed, but a bumped generation
-  // must still force a full rescore (the O(1) invalidation contract).
-  generation = 8;
-  expect_all_equal();
 }
 
 }  // namespace

@@ -95,6 +95,37 @@ TEST_F(DocsSystemTest, GoldenPhaseEndsAfterAllGoldenAnswered) {
   for (size_t task : post) EXPECT_FALSE(golden.count(task)) << task;
 }
 
+TEST_F(DocsSystemTest, ZeroSizedRequestGrantsNothingInEveryPhase) {
+  auto dataset = datasets::MakeItemDataset(*kb_);
+  DocsSystemOptions options;
+  options.golden_count = 5;
+  options.lease_duration = 10;
+  DocsSystem system(&kb_->knowledge_base, options);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  auto truths = dataset.Truths();
+  ASSERT_TRUE(system.AddTasks(inputs, &truths).ok());
+  const size_t worker = system.WorkerIndex("w0");
+
+  // Golden phase: no probe is granted or leased.
+  EXPECT_TRUE(system.SelectTasks(worker, 0).empty());
+  EXPECT_EQ(system.outstanding_leases(), 0u);
+
+  // OTA phase: nothing is ranked, granted or tallied.
+  for (size_t task : system.golden_tasks()) {
+    ASSERT_TRUE(system.SubmitAnswer(worker, task, 0).ok());
+  }
+  EXPECT_TRUE(system.SelectTasks(worker, 0).empty());
+  EXPECT_EQ(system.outstanding_leases(), 0u);
+  EXPECT_EQ(system.benefit_index_rebuilds(), 0u);
+  EXPECT_EQ(system.benefit_cache_request_hits() +
+                system.benefit_cache_request_misses(),
+            0u);
+  EXPECT_EQ(system.SelectTasks(worker, 3).size(), 3u);
+}
+
 TEST_F(DocsSystemTest, WorkerNeverReceivesSameTaskTwice) {
   auto dataset = datasets::MakeItemDataset(*kb_);
   auto system = MakeSystem(dataset, 4);

@@ -225,6 +225,40 @@ TEST_F(GatewayTest, ServerStatusCodesTravelTheWire) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(GatewayTest, ZeroSizedRequestRoundTripsEmptyInEveryPhase) {
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    core::DocsSystemOptions options;
+    options.golden_count = 5;
+    options.lease_duration = 10;
+    options.async_inference = async;
+    Serving serving = StartServing(options);
+    client::CrowdClient conn(TestClientOptions());
+    ASSERT_TRUE(conn.Connect("127.0.0.1", serving.gateway->port()).ok());
+
+    // Golden phase: no probe is granted or leased.
+    std::vector<uint64_t> hit;
+    ASSERT_TRUE(conn.RequestTasks("w0", 0, &hit).ok());
+    EXPECT_TRUE(hit.empty());
+    EXPECT_EQ(serving.system->outstanding_leases(), 0u);
+
+    // OTA phase, served off the sharded (sync) or snapshot (async) path
+    // once the first OTA request has sized the worker's rows.
+    ASSERT_TRUE(conn.RequestTasks("w0", 5, &hit).ok());
+    ASSERT_EQ(hit.size(), 5u);
+    for (uint64_t task : hit) {
+      ASSERT_TRUE(conn.SubmitAnswer("w0", task, 0).ok());
+    }
+    serving.system->Drain();
+    ASSERT_TRUE(conn.RequestTasks("w0", 3, &hit).ok());
+    ASSERT_EQ(hit.size(), 3u);
+    ASSERT_TRUE(conn.RequestTasks("w0", 0, &hit).ok());
+    EXPECT_TRUE(hit.empty());
+    EXPECT_EQ(serving.system->outstanding_leases(), 3u);
+    serving.gateway->Stop();
+  }
+}
+
 TEST_F(GatewayTest, TornFramesAndPipelinedRequests) {
   core::DocsSystemOptions options;
   options.golden_count = 0;

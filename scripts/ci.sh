@@ -70,9 +70,11 @@ run_config release "" -DCMAKE_BUILD_TYPE=Release
 # Strict config: warnings are errors and the DCHECK-tier contracts are live.
 # Scoped to the suites that hit the contract-instrumented paths hardest;
 # check_test runs here with DOCS_DEBUG_CHECKS on (it also runs in every
-# other config with them off — both halves of its matrix get covered).
+# other config with them off — both halves of its matrix get covered). The
+# facade suites run here because every serving request goes through the
+# snapshot path, whose index heap audit DOCS_DEBUG_CHECKS compiles in.
 run_config strict \
-  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|ranking_oracle_test" \
+  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|ranking_oracle_test|inference_service_test|concurrency_test|gateway_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client

@@ -117,7 +117,7 @@ class DOCS_SCOPED_CAPABILITY WriterLock {
   SharedMutex* mu_;
 };
 
-/// RAII shared lock over a SharedMutex (the facade's sharded serve path).
+/// RAII shared lock over a SharedMutex (read-only inspection of the facade).
 class DOCS_SCOPED_CAPABILITY ReaderLock {
  public:
   explicit ReaderLock(SharedMutex* mu) DOCS_ACQUIRE_SHARED(mu) : mu_(mu) {

@@ -10,71 +10,84 @@ namespace docs::core {
 
 ConcurrentDocsSystem::ConcurrentDocsSystem(
     const kb::KnowledgeBase* knowledge_base, DocsSystemOptions options)
-    : async_(options.async_inference),
-      async_queue_capacity_(options.async_queue_capacity),
-      system_(knowledge_base, std::move(options)) {
-  if (async_) {
-    // Constructed here (started at ingest) so the pointer never changes
-    // while another thread can observe it — async_stats() and the serving
-    // paths read it lock-free.
-    InferenceServiceOptions service_options;
-    service_options.queue_capacity = async_queue_capacity_;
-    service_ = std::make_unique<InferenceService>(
-        [this](const std::vector<PendingAnswer>& batch) {
-          return ApplyBatch(batch);
-        },
-        service_options);
-  }
+    : async_(options.async_inference), system_(knowledge_base, options) {
+  // Constructed here (started at ingest in async mode) so the pointer never
+  // changes while another thread can observe it — async_stats() and the
+  // serving paths read it lock-free.
+  InferenceServiceOptions service_options;
+  service_options.queue_capacity = options.async_queue_capacity;
+  service_ = std::make_unique<InferenceService>(
+      [this](const std::vector<PendingAnswer>& batch) { ApplyBatch(batch); },
+      service_options);
 }
 
 ConcurrentDocsSystem::~ConcurrentDocsSystem() {
   // Explicit for clarity only: service_ is declared last, so its destructor
   // (which drains and joins the apply thread) runs before system_ dies.
-  if (service_ != nullptr) service_->Stop();
+  service_->Stop();
 }
 
 Status ConcurrentDocsSystem::AddTasks(const std::vector<TaskInput>& inputs,
                                       const std::vector<size_t>* known_truths) {
   WriterLock lock(&state_mutex_);
   Status status = system_.AddTasks(inputs, known_truths);
-  if (status.ok() && async_) StartAsyncLocked();
+  if (status.ok()) StartServingLocked();
   return status;
 }
 
-void ConcurrentDocsSystem::StartAsyncLocked() {
-  {
-    MutexLock assign(&assign_mutex_);
-    system_.RebuildAsyncBooks();
-  }
+void ConcurrentDocsSystem::StartServingLocked() {
   // Built eagerly: once serving starts, the pool may only be built under
-  // pool_mutex_, and the exclusive-path callers below this layer do not
-  // take it in sync mode.
+  // pool_mutex_.
   system_.ScoringPool();
-  SyncRegistryFromStateLocked();
-  service_->Publish(system_.BuildSnapshot(nullptr));
-  service_->Start();
+  (void)PublishLocked();
+  if (async_) service_->Start();
 }
 
 void ConcurrentDocsSystem::SyncRegistryFromStateLocked() {
   const size_t count = system_.inference().num_workers();
   WriterLock reg(&registry_mutex_);
   for (size_t w = registered_count_; w < count; ++w) {
-    async_registry_.emplace(system_.worker_external_id(w), w);
+    registry_.emplace(system_.worker_external_id(w), w);
   }
   registered_count_ = count;
 }
 
-std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::ApplyBatch(
-    const std::vector<PendingAnswer>& batch) {
+std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::PublishLocked() {
+  // Every publish runs under the exclusive state lock, so publishes are
+  // totally ordered and the epoch only grows, whichever thread publishes.
+  std::shared_ptr<const InferenceSnapshot> prev = service_->snapshot();
+  service_->Publish(system_.BuildSnapshot(prev.get()));
+  snapshot_stale_.store(false, std::memory_order_relaxed);
+  // Workers registered by the exclusive path since the last publish become
+  // resolvable without the state lock from here on.
+  SyncRegistryFromStateLocked();
+  return prev;
+}
+
+std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::FreshSnapshot() {
+  if (snapshot_stale_.load(std::memory_order_acquire)) {
+    // Declared before the lock: the retired snapshot is freed after the
+    // state lock is released.
+    std::shared_ptr<const InferenceSnapshot> retired;
+    WriterLock lock(&state_mutex_);
+    if (snapshot_stale_.load(std::memory_order_relaxed)) {
+      retired = PublishLocked();
+    }
+  }
+  return service_->snapshot();
+}
+
+void ConcurrentDocsSystem::ApplyBatch(const std::vector<PendingAnswer>& batch) {
+  std::shared_ptr<const InferenceSnapshot> retired;  // freed after the locks
   WriterLock lock(&state_mutex_);
   // The pool lock is held for the whole batch: the periodic full EM inside
-  // ApplyAsyncAnswer fans out on the shared pool, and snapshot scorers
-  // try-lock it (losing the race costs them a serial pass, never a stall).
+  // ApplyAnswer fans out on the shared pool, and snapshot scorers try-lock
+  // it (losing the race costs them a serial pass, never a stall).
   MutexLock pool(&pool_mutex_);
   for (const PendingAnswer& answer : batch) {
     if (async_apply_hook_) async_apply_hook_(answer);
-    Status status =
-        system_.ApplyAsyncAnswer(answer.worker, answer.task, answer.choice);
+    Status status = system_.ApplyAnswer(answer.worker, answer.task,
+                                        answer.choice);
     if (!status.ok()) {
       // Unreachable for a correctly booked answer; surfaced, not silently
       // dropped, if it ever fires.
@@ -82,92 +95,64 @@ std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::ApplyBatch(
                         << status.ToString();
     }
   }
-  std::shared_ptr<const InferenceSnapshot> prev = service_->snapshot();
-  auto next = system_.BuildSnapshot(prev.get());
-  // Workers registered by the exclusive path since the last publish become
-  // resolvable without the state lock from here on.
-  SyncRegistryFromStateLocked();
-  return next;
+  retired = PublishLocked();
+}
+
+std::optional<size_t> ConcurrentDocsSystem::FindRegistered(
+    const std::string& worker_id) {
+  ReaderLock reg(&registry_mutex_);
+  auto it = registry_.find(worker_id);
+  if (it == registry_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<size_t> ConcurrentDocsSystem::ResolveWorker(
+    const std::string& worker_id) {
+  if (std::optional<size_t> worker = FindRegistered(worker_id)) return worker;
+  WriterLock lock(&state_mutex_);
+  const std::optional<size_t> worker = system_.FindWorker(worker_id);
+  if (worker.has_value()) SyncRegistryFromStateLocked();
+  return worker;
 }
 
 std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
     const std::string& worker_id, size_t k) {
-  if (async_) return RequestTasksAsync(worker_id, k);
-  {
-    ReaderLock state(&state_mutex_);
-    const std::optional<size_t> worker = system_.FindWorker(worker_id);
-    if (worker.has_value() && system_.CanServeSharded(*worker)) {
-      return ServeShardedLocked(*worker, k);
-    }
-  }
-  // Slow path: first contact (registration grows shared structure), golden
-  // probes, or a benefit-cache row not yet sized — all exclusive-lock work.
-  // The eligibility re-check happens inside SelectTasks, so losing the lock
-  // between the probe above and here costs a detour, never correctness.
-  WriterLock lock(&state_mutex_);
-  return system_.SelectTasks(system_.WorkerIndex(worker_id), k);
-}
-
-std::vector<size_t> ConcurrentDocsSystem::RequestTasksAsync(
-    const std::string& worker_id, size_t k) {
-  std::optional<size_t> worker;
-  {
-    ReaderLock reg(&registry_mutex_);
-    auto it = async_registry_.find(worker_id);
-    if (it != async_registry_.end()) worker = it->second;
-  }
-  if (worker.has_value()) {
+  if (const std::optional<size_t> worker = FindRegistered(worker_id)) {
     // Pin the current snapshot for the whole pass; a publish mid-pass
     // retires the old epoch without touching it.
-    std::shared_ptr<const InferenceSnapshot> snap = service_->snapshot();
+    const std::shared_ptr<const InferenceSnapshot> snap = FreshSnapshot();
     if (snap != nullptr && *worker < snap->workers.size() &&
         snap->workers[*worker] != nullptr && snap->workers[*worker]->servable) {
       return ServeSnapshot(*snap, *worker, k);
     }
   }
   // Cold path: first contact, golden probes, or a worker not yet servable in
-  // the published snapshot. Exclusive over state — serialized against the
-  // apply thread — plus her shard stripe (a concurrent snapshot pass for the
-  // same worker writes her cache row under it), the assign lock (lease books
-  // + submission books), and the pool lock (snapshot scorers try-lock it).
+  // the published snapshot. Exclusive over state — serialized against every
+  // apply and publish — plus her shard stripe (a concurrent snapshot pass
+  // for the same worker writes her cache row under it), the assign lock
+  // (lease + submission books), and the pool lock (snapshot scorers
+  // try-lock it).
   WriterLock lock(&state_mutex_);
   const size_t index = system_.WorkerIndex(worker_id);
   SyncRegistryFromStateLocked();
-  MutexLock shard_lock(&shards_[index % kNumShards].mutex);
-  MutexLock assign(&assign_mutex_);
-  MutexLock pool(&pool_mutex_);
-  return system_.SelectTasks(index, k);
+  std::vector<size_t> selected;
+  {
+    MutexLock shard_lock(&shards_[index % kNumShards].mutex);
+    MutexLock assign(&assign_mutex_);
+    MutexLock pool(&pool_mutex_);
+    selected = system_.SelectTasks(index, k);
+  }
+  // A servable worker served cold is missing from the snapshot (just
+  // registered, or past golden since the last publish): the next request
+  // republishes, so her later requests take the snapshot path.
+  if (system_.golden_done(index)) {
+    snapshot_stale_.store(true, std::memory_order_release);
+  }
+  return selected;
 }
 
 std::vector<size_t> ConcurrentDocsSystem::ServeSnapshot(
     const InferenceSnapshot& snap, size_t worker, size_t k) {
-  // Mirrors ServeShardedLocked, with the published snapshot standing in for
-  // the live engine — no state lock anywhere on this path, so a concurrent
-  // retro-update fan-out or full EM pass never blocks it.
-  WorkerShard& shard = shards_[worker % kNumShards];
-  MutexLock shard_lock(&shard.mutex);
-  for (int attempt = 0;; ++attempt) {
-    {
-      MutexLock assign(&assign_mutex_);
-      AsyncSystem().BeginShardedSelect(worker, &shard.scratch.eligible);
-    }
-    const bool pool_locked = pool_mutex_.TryLock();
-    ThreadPool* pool = pool_locked ? AsyncSystem().ScoringPool() : nullptr;
-    std::vector<size_t> selected =
-        AsyncSystem().ScoreAndRankSnapshot(snap, worker, shard.scratch, k, pool);
-    if (pool_locked) pool_mutex_.Unlock();
-    {
-      MutexLock assign(&assign_mutex_);
-      const bool force = attempt >= 2;
-      if (AsyncSystem().CommitShardedSelect(worker, &selected, force)) {
-        return selected;
-      }
-    }
-  }
-}
-
-std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
-                                                             size_t k) {
   WorkerShard& shard = shards_[worker % kNumShards];
   // The shard lock serializes same-row cache access and hands this request
   // exclusive use of the shard's scoring scratch.
@@ -175,7 +160,7 @@ std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
   for (int attempt = 0;; ++attempt) {
     {
       MutexLock assign(&assign_mutex_);
-      system_.BeginShardedSelect(worker, &shard.scratch.eligible);
+      UnlockedSystem().BeginShardedSelect(worker, shard.scratch);
     }
     // One deterministic pool, many would-be users: the winner of the
     // try-lock fans the scoring pass out, everyone else scores serially.
@@ -184,147 +169,113 @@ std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
     // on the tracked boolean (not a scoped guard): the analysis follows the
     // branch on a try-acquire result, so both paths check out.
     const bool pool_locked = pool_mutex_.TryLock();
-    ThreadPool* pool = pool_locked ? system_.ScoringPool() : nullptr;
-    std::vector<size_t> selected =
-        system_.ScoreAndRankSharded(worker, shard.scratch, k, pool);
+    ThreadPool* pool = pool_locked ? UnlockedSystem().ScoringPool() : nullptr;
+    std::vector<size_t> selected = UnlockedSystem().ScoreAndRankSnapshot(
+        snap, worker, shard.scratch, k, pool);
     if (pool_locked) pool_mutex_.Unlock();
     {
       MutexLock assign(&assign_mutex_);
       // A commit conflict means another shard granted the last cap slot of a
-      // selected task mid-scoring; rescore from a fresh snapshot, and after
-      // two clean retries force through without the conflicted tasks.
+      // selected task mid-scoring; rescore from a fresh eligibility
+      // snapshot, and after two clean retries force through without the
+      // conflicted tasks.
       const bool force = attempt >= 2;
-      if (system_.CommitShardedSelect(worker, &selected, force)) {
+      if (UnlockedSystem().CommitShardedSelect(worker, &selected, force)) {
         return selected;
       }
     }
   }
 }
 
+Status ConcurrentDocsSystem::BookAnswer(size_t worker, size_t task,
+                                        size_t choice) {
+  // The books make the submission's side effects (duplicate rejection, cap
+  // accounting, lease release) visible at ack time, before the engine
+  // absorbs the answer.
+  MutexLock assign(&assign_mutex_);
+  Status status = UnlockedSystem().ValidateAnswer(worker, task, choice);
+  if (status.ok()) UnlockedSystem().BookAnswer(worker, task);
+  return status;
+}
+
 Status ConcurrentDocsSystem::SubmitAnswer(const std::string& worker_id,
                                           size_t task, size_t choice) {
-  if (async_) {
-    // Resolve without the state lock; fall back to the exclusive path for
-    // workers registered behind the registry's back (checkpoint recovery).
-    std::optional<size_t> worker;
-    {
-      ReaderLock reg(&registry_mutex_);
-      auto it = async_registry_.find(worker_id);
-      if (it != async_registry_.end()) worker = it->second;
-    }
-    if (!worker.has_value()) worker = ResolveWorkerAsync(worker_id);
-    if (!worker.has_value()) {
-      return InvalidArgumentError("unknown worker '" + worker_id +
-                                  "': never seen by RequestTasks/LoadWorker");
-    }
-    // Validate + book under assign, then enqueue with no lock held (Enqueue
-    // blocks on a full queue — backpressure must not pin the lease books).
-    // The books make the sync-path side effects (duplicate rejection, cap
-    // accounting, lease release) visible at ack time, before the engine
-    // absorbs the answer.
-    {
-      MutexLock assign(&assign_mutex_);
-      Status status = AsyncSystem().ValidateAsyncSubmission(*worker, task, choice);
-      if (!status.ok()) return status;
-      AsyncSystem().RecordAsyncSubmission(*worker, task);
-    }
-    service_->Enqueue({*worker, task, choice});
-    return OkStatus();
-  }
-  WriterLock lock(&state_mutex_);
-  const std::optional<size_t> worker = system_.FindWorker(worker_id);
+  const std::optional<size_t> worker = ResolveWorker(worker_id);
   if (!worker.has_value()) {
     return InvalidArgumentError("unknown worker '" + worker_id +
                                 "': never seen by RequestTasks/LoadWorker");
   }
-  return system_.SubmitAnswer(*worker, task, choice);
-}
-
-std::optional<size_t> ConcurrentDocsSystem::ResolveWorkerAsync(
-    const std::string& worker_id) {
+  if (async_) {
+    // Book, then enqueue with no lock held (Enqueue blocks on a full queue —
+    // backpressure must not pin the lease books).
+    Status status = BookAnswer(*worker, task, choice);
+    if (status.ok()) service_->Enqueue({*worker, task, choice});
+    return status;
+  }
+  // Staleness 0: book and apply in one exclusive hold, then mark the
+  // snapshot stale so the next RequestTasks republishes before it serves.
   WriterLock lock(&state_mutex_);
-  const std::optional<size_t> worker = system_.FindWorker(worker_id);
-  if (worker.has_value()) SyncRegistryFromStateLocked();
-  return worker;
+  Status status = BookAnswer(*worker, task, choice);
+  if (!status.ok()) return status;
+  MutexLock pool(&pool_mutex_);  // the periodic EM fans out on the pool
+  status = system_.ApplyAnswer(*worker, task, choice);
+  snapshot_stale_.store(true, std::memory_order_release);
+  return status;
 }
 
 bool ConcurrentDocsSystem::KnowsWorker(const std::string& worker_id) {
-  {
-    ReaderLock reg(&registry_mutex_);
-    if (async_registry_.find(worker_id) != async_registry_.end()) return true;
-  }
-  ReaderLock state(&state_mutex_);
-  return system_.FindWorker(worker_id).has_value();
+  return ResolveWorker(worker_id).has_value();
 }
 
-void ConcurrentDocsSystem::Drain() {
-  if (service_ != nullptr) service_->Drain();
-}
+void ConcurrentDocsSystem::Drain() { service_->Drain(); }
 
 AsyncInferenceStats ConcurrentDocsSystem::async_stats() const {
   AsyncInferenceStats out;
-  out.enabled = async_;
-  if (service_ != nullptr) out.service = service_->stats();
+  if (!async_) return out;
+  out.enabled = true;
+  out.service = service_->stats();
   out.last_sweep_epoch = last_sweep_epoch_.load(std::memory_order_relaxed);
   return out;
 }
 
 std::vector<ExpiredLease> ConcurrentDocsSystem::ExpireLeases(uint64_t now) {
-  if (async_) {
-    // The async sweep reads only assign-guarded lease books — never live
-    // inference state — so it cannot observe a half-applied retro-update no
-    // matter where the apply thread is. The snapshot epoch is sampled first
-    // and recorded so observers can bound which publish the sweep was
-    // consistent with (tests/gateway_test.cc races sweeps against
-    // publishes; DESIGN.md §15).
-    const uint64_t epoch =
-        service_ != nullptr && service_->snapshot() != nullptr
-            ? service_->snapshot()->epoch
-            : 0;
-    std::vector<ExpiredLease> expired;
-    {
-      MutexLock assign(&assign_mutex_);
-      expired = AsyncSystem().ExpireLeases(now);
-    }
-    last_sweep_epoch_.store(epoch, std::memory_order_relaxed);
-    return expired;
+  // The sweep reads only assign-guarded lease books — never live inference
+  // state — so it cannot observe a half-applied retro-update no matter where
+  // an apply is. The snapshot epoch is sampled first and recorded so
+  // observers can bound which publish the sweep was consistent with
+  // (tests/gateway_test.cc races sweeps against publishes; DESIGN.md §15).
+  const std::shared_ptr<const InferenceSnapshot> snap = service_->snapshot();
+  const uint64_t epoch = snap != nullptr ? snap->epoch : 0;
+  std::vector<ExpiredLease> expired;
+  {
+    MutexLock assign(&assign_mutex_);
+    expired = UnlockedSystem().ExpireLeases(now);
   }
-  ReaderLock state(&state_mutex_);
-  MutexLock assign(&assign_mutex_);
-  return system_.ExpireLeases(now);
+  last_sweep_epoch_.store(epoch, std::memory_order_relaxed);
+  return expired;
 }
 
 Status ConcurrentDocsSystem::LoadWorker(const std::string& worker_id,
                                         const storage::WorkerStore& store) {
-  if (async_) {
-    // The seed reshapes the worker's quality out-of-band; drain so it lands
-    // on converged state (sync-mode timing), apply under the exclusive lock,
-    // then force a publish so the snapshot serves the seeded profile.
-    Drain();
-    Status status;
-    {
-      WriterLock lock(&state_mutex_);
-      status = system_.LoadWorker(worker_id, store);
-      if (status.ok()) SyncRegistryFromStateLocked();
-    }
-    if (status.ok()) service_->RequestRepublish();
-    return status;
-  }
+  // The seed reshapes the worker's quality out-of-band; drain so it lands on
+  // converged state (sync-mode timing), then let the next request republish
+  // so the snapshot serves the seeded profile.
+  Drain();
   WriterLock lock(&state_mutex_);
-  return system_.LoadWorker(worker_id, store);
+  Status status = system_.LoadWorker(worker_id, store);
+  if (status.ok()) {
+    SyncRegistryFromStateLocked();
+    snapshot_stale_.store(true, std::memory_order_release);
+  }
+  return status;
 }
 
 uint64_t ConcurrentDocsSystem::lease_clock() {
-  // Async mode: the clock is assign-guarded and the reactor lease sweeps
-  // read it on their serving threads — taking the state lock here would
-  // stall a reactor behind a running EM pass.
-  if (async_) {
-    MutexLock assign(&assign_mutex_);
-    return AsyncSystem().lease_clock();
-  }
-  ReaderLock state(&state_mutex_);
+  // The clock is assign-guarded and the reactor lease sweeps read it on
+  // their serving threads — taking the state lock here would stall a reactor
+  // behind a running EM pass.
   MutexLock assign(&assign_mutex_);
-  return system_.lease_clock();
+  return UnlockedSystem().lease_clock();
 }
 
 size_t ConcurrentDocsSystem::num_tasks() {
@@ -333,19 +284,13 @@ size_t ConcurrentDocsSystem::num_tasks() {
 }
 
 size_t ConcurrentDocsSystem::outstanding_leases() {
-  if (async_) {
-    MutexLock assign(&assign_mutex_);
-    return AsyncSystem().outstanding_leases();
-  }
-  ReaderLock state(&state_mutex_);
   MutexLock assign(&assign_mutex_);
-  return system_.outstanding_leases();
+  return UnlockedSystem().outstanding_leases();
 }
 
 std::vector<size_t> ConcurrentDocsSystem::InferredChoices() {
-  // Quiesce first in async mode: the inferred truths must reflect every
-  // acked answer, exactly as the sync path guarantees.
-  if (async_) Drain();
+  // Quiesce first: the inferred truths must reflect every acked answer.
+  Drain();
   WriterLock lock(&state_mutex_);
   return system_.InferredChoices();
 }
@@ -356,20 +301,13 @@ size_t ConcurrentDocsSystem::num_answers() {
 }
 
 void ConcurrentDocsSystem::RunFullInference() {
-  if (async_) {
-    // Drain → run on converged state; pool lock because snapshot scorers
-    // try-lock the shared pool; republish so the snapshot serves the result.
-    Drain();
-    {
-      WriterLock lock(&state_mutex_);
-      MutexLock pool(&pool_mutex_);
-      system_.RunFullInference();
-    }
-    service_->RequestRepublish();
-    return;
-  }
+  // Drain → run on converged state; pool lock because snapshot scorers
+  // try-lock the shared pool; the next request republishes the result.
+  Drain();
   WriterLock lock(&state_mutex_);
+  MutexLock pool(&pool_mutex_);
   system_.RunFullInference();
+  snapshot_stale_.store(true, std::memory_order_release);
 }
 
 std::vector<std::string> ConcurrentDocsSystem::WorkerIds() {
@@ -377,54 +315,13 @@ std::vector<std::string> ConcurrentDocsSystem::WorkerIds() {
   return system_.WorkerIds();
 }
 
-uint64_t ConcurrentDocsSystem::benefit_cache_hits() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_hits();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_cache_misses() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_misses();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_cache_request_hits() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_request_hits();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_cache_request_misses() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_request_misses();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_index_pops() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_pops();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_index_repairs() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_repairs();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_index_rebuilds() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_rebuilds();
-}
-
-uint64_t ConcurrentDocsSystem::benefit_index_generation_invalidations() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_generation_invalidations();
-}
-
 Status ConcurrentDocsSystem::SaveCheckpoint(const std::string& path) {
-  // Async mode quiesces first so the checkpoint contains every acked answer
-  // — the durable layer truncates its WAL after a checkpoint, and an acked
-  // answer must never exist in neither.
-  if (async_) Drain();
-  // Snapshot state is everything the sharded path only reads (tasks, golden
-  // set, seeds, answers) — leases are volatile by contract — so a shared
-  // lock suffices and a save never stalls serving.
+  // Quiesce first so the checkpoint contains every acked answer — the
+  // durable layer truncates its WAL after a checkpoint, and an acked answer
+  // must never exist in neither.
+  Drain();
+  // Checkpoint state is tasks, golden set, seeds and answers — leases are
+  // volatile by contract — so a shared lock suffices.
   ReaderLock state(&state_mutex_);
   return system_.SaveCheckpoint(path);
 }
@@ -432,7 +329,7 @@ Status ConcurrentDocsSystem::SaveCheckpoint(const std::string& path) {
 Status ConcurrentDocsSystem::LoadCheckpoint(const std::string& path) {
   WriterLock lock(&state_mutex_);
   Status status = system_.LoadCheckpoint(path);
-  if (status.ok() && async_) StartAsyncLocked();
+  if (status.ok()) StartServingLocked();
   return status;
 }
 

@@ -38,43 +38,43 @@ struct AsyncInferenceStats {
 /// system sits behind a web frontend where AMT's callbacks (task requests,
 /// answer submissions) arrive concurrently.
 ///
-/// Sharded locking (DESIGN.md §13): steady-state RequestTasks — a returning,
-/// golden-complete worker asking for her next HIT — is the hot path, and its
-/// scoring pass only *reads* the inference posteriors while writing nothing
-/// shared beyond her own benefit-cache row and the lease books. So the facade
-/// runs it under a reader (shared) state lock, with the writes funneled
-/// through two narrow mutexes:
+/// One serving path (DESIGN.md §13-§15): every post-golden RequestTasks — a
+/// known, golden-complete worker asking for her next HIT, the hot path —
+/// scores a pinned, immutable InferenceSnapshot and never takes the state
+/// lock. Its few shared writes are funneled through narrow mutexes:
 ///  - a per-worker shard lock (worker index mod kNumShards) guarding her
-///    cache row and reusable scoring scratch, so concurrent requests from
-///    different workers score genuinely in parallel;
-///  - one assign lock guarding the lease books and logical clock, held only
-///    for the O(n) eligibility snapshot and the O(k) grant commit.
-/// Everything that mutates shared structure — answer submission (step 2 of
-/// §4.2 touches the task's truth and every co-answering worker's quality),
-/// first-contact registration, golden probes, checkpoint restore, full
-/// inference — takes the state lock exclusively, which by itself excludes
-/// all sharded readers; no finer lock is needed on that path.
+///    cache row, index and reusable scoring scratch, so concurrent requests
+///    from different workers score genuinely in parallel;
+///  - one assign lock guarding the lease books, logical clock and submission
+///    books, held only for the O(n) eligibility snapshot and the O(k) grant
+///    commit.
+/// DocsSystemOptions::async_inference decides only what SubmitAnswer does
+/// with a validated, booked answer:
+///  - sync (staleness 0): apply it inline under the exclusive state lock,
+///    mark the snapshot stale, ack — the next RequestTasks republishes
+///    before it serves, so every ack is visible to the requests after it;
+///  - async (staleness bounded by the queue): enqueue it onto a background
+///    InferenceService thread, which applies and publishes in batches, and
+///    ack — an answer burst (retro-update fan-out, the periodic full EM)
+///    never blocks a serving call.
+/// First contact (registration grows shared structure), golden probes and
+/// every other mutation — checkpoint restore, worker reseed, full inference
+/// — take the state lock exclusively.
 ///
 /// The scoring thread pool stays engine-owned and deterministic (DESIGN.md
-/// §8): sharded scorers try-lock a pool mutex, and the loser of the race
+/// §8): snapshot scorers try-lock a pool mutex, and the loser of the race
 /// scores serially — bit-identical either way, because the ranking is
 /// thread-count invariant.
-///
-/// Async mode (DESIGN.md §15, DocsSystemOptions::async_inference): inference
-/// absorption moves onto a background InferenceService thread. SubmitAnswer
-/// validates against the submission books under the assign lock, enqueues,
-/// and acks — it never takes the state lock. RequestTasks for a servable
-/// worker scores against the last published immutable snapshot under only
-/// her shard stripe (plus assign for the lease phases) — so neither serving
-/// call ever waits on a retro-update fan-out or the periodic full EM.
 ///
 /// Lock hierarchy (acquire left-to-right, never right-to-left; DESIGN.md
 /// §14, machine-checked via the DOCS_* annotations below):
 ///   state (shared or exclusive) → shard → { assign | pool } → registry.
-/// The InferenceService's queue and snapshot mutexes are leaves held by no
-/// path that also holds any lock above (the service thread holds neither
-/// while applying; producers hold nothing while enqueueing), so the queue
-/// EXCLUDES the state lock by construction.
+/// A sync SubmitAnswer holds state, then assign (validate + book), then
+/// pool (apply). The InferenceService's queue and snapshot mutexes are
+/// leaves: publishes take them under the state lock, and nothing holding
+/// them takes any lock above (the service thread holds neither while
+/// applying; producers hold nothing while enqueueing), so the queue EXCLUDES
+/// the state lock by construction.
 class ConcurrentDocsSystem {
  public:
   ConcurrentDocsSystem(const kb::KnowledgeBase* knowledge_base,
@@ -86,11 +86,11 @@ class ConcurrentDocsSystem {
                                     nullptr) DOCS_EXCLUDES(state_mutex_);
 
   /// Atomically resolves the worker id and selects her next HIT. Known
-  /// workers past the golden phase are served under the shared state lock
-  /// (parallel across worker shards); first contact and golden probes fall
-  /// back to the exclusive path.
+  /// workers past the golden phase are served from the published snapshot
+  /// (republished first when stale), parallel across worker shards; first
+  /// contact and golden probes fall back to the exclusive path.
   std::vector<size_t> RequestTasks(const std::string& worker_id, size_t k)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
 
   /// Atomically resolves the worker id and submits one answer. Invalid
   /// submissions (unknown task, out-of-range choice, duplicate (worker,
@@ -101,48 +101,41 @@ class ConcurrentDocsSystem {
   /// network delivers.
   [[nodiscard]] Status SubmitAnswer(const std::string& worker_id, size_t task,
                                     size_t choice)
-      DOCS_EXCLUDES(state_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
 
   /// Reclaims every lease whose logical deadline is at or before `now`
   /// (workers who accepted a HIT and vanished); the freed tasks are
   /// immediately assignable again. Serving deployments call this on a timer.
-  /// Touches only the lease books, so it runs under the shared state lock
-  /// plus the assign lock — a sweep never stalls in-flight scoring.
+  /// Touches only the lease books, so it runs under the assign lock alone —
+  /// a sweep never stalls behind an apply or an EM pass.
   std::vector<ExpiredLease> ExpireLeases(uint64_t now)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
+      DOCS_EXCLUDES(assign_mutex_);
 
   /// Seeds a returning worker's quality profile from the persistent store;
   /// the worker is registered and skips the golden probe (Theorem 1 state).
   [[nodiscard]] Status LoadWorker(const std::string& worker_id,
                                   const storage::WorkerStore& store)
-      DOCS_EXCLUDES(state_mutex_);
+      DOCS_EXCLUDES(state_mutex_, registry_mutex_);
 
-  uint64_t lease_clock() DOCS_EXCLUDES(state_mutex_, assign_mutex_);
+  uint64_t lease_clock() DOCS_EXCLUDES(assign_mutex_);
   size_t num_tasks() DOCS_EXCLUDES(state_mutex_);
-  size_t outstanding_leases() DOCS_EXCLUDES(state_mutex_, assign_mutex_);
+  size_t outstanding_leases() DOCS_EXCLUDES(assign_mutex_);
   std::vector<size_t> InferredChoices() DOCS_EXCLUDES(state_mutex_);
   size_t num_answers() DOCS_EXCLUDES(state_mutex_);
 
   /// Forces a full inference pass (the recovery bit-equality oracle; see
   /// DocsSystem::RunFullInference).
-  void RunFullInference() DOCS_EXCLUDES(state_mutex_);
+  void RunFullInference() DOCS_EXCLUDES(state_mutex_, pool_mutex_);
 
   /// Registered worker ids in registration order.
   std::vector<std::string> WorkerIds() DOCS_EXCLUDES(state_mutex_);
 
-  /// Row- and request-level benefit-cache counters; see DocsSystem for the
-  /// distinction (rows are the wrong unit for a hit-rate).
-  uint64_t benefit_cache_hits() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_cache_misses() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_cache_request_hits() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_cache_request_misses() DOCS_EXCLUDES(state_mutex_);
-
-  /// Benefit-index effectiveness counters (DESIGN.md §16): heap pops served,
-  /// targeted repairs, full rebuilds, and O(1) generation invalidations.
-  uint64_t benefit_index_pops() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_index_repairs() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_index_rebuilds() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_index_generation_invalidations() DOCS_EXCLUDES(state_mutex_);
+  /// Benefit-cache and benefit-index counters (DESIGN.md §11, §16): relaxed
+  /// atomic loads, no lock — a stats poll never waits behind an apply batch
+  /// or an EM pass.
+  ServingCounters serving_counters() {
+    return UnlockedSystem().serving_counters();
+  }
 
   [[nodiscard]] Status SaveCheckpoint(const std::string& path)
       DOCS_EXCLUDES(state_mutex_);
@@ -156,34 +149,40 @@ class ConcurrentDocsSystem {
   [[nodiscard]] Status SaveCheckpointWithRetry(
       const std::string& path, const CheckpointRetryOptions& retry = {});
 
-  /// Runs `fn` under the exclusive lock with direct access to the underlying
-  /// system — for setup/inspection that needs several calls to be atomic.
+  /// Runs `fn` under the exclusive lock (plus the pool lock, so `fn` may
+  /// score on the shared pool) with direct access to the underlying system —
+  /// for setup/inspection that needs several calls to be atomic. The
+  /// snapshot is marked stale (fn may have mutated what it was built from).
   /// Async-mode callers that read inference state should Drain() first: the
   /// lock serializes against the service thread, but queued answers are
   /// otherwise still in flight.
   template <typename Fn>
-  auto WithLocked(Fn&& fn) DOCS_EXCLUDES(state_mutex_) {
+  auto WithLocked(Fn&& fn) DOCS_EXCLUDES(state_mutex_, pool_mutex_) {
     WriterLock lock(&state_mutex_);
+    MutexLock pool(&pool_mutex_);
+    snapshot_stale_.store(true, std::memory_order_release);
     return fn(system_);
   }
 
-  /// True when `worker_id` is already registered (async registry first, then
-  /// the state table). The durable layer gates its lock-free warm path on
-  /// this so registration stays on the recovery-ordered exclusive path.
+  /// True when `worker_id` is already registered (registry first, then the
+  /// state table). The durable layer gates its lock-free warm path on this
+  /// so registration stays on the recovery-ordered exclusive path.
   bool KnowsWorker(const std::string& worker_id)
       DOCS_EXCLUDES(state_mutex_, registry_mutex_);
 
-  /// Async-mode quiesce barrier: returns once every answer acked before the
-  /// call is applied and visible in a published snapshot. No-op in sync
-  /// mode. Callers must hold no lock (the apply path takes state + pool).
+  /// Quiesce barrier: returns once every answer acked before the call is
+  /// applied and visible in a published snapshot. Immediate in sync mode,
+  /// where an ack already implies it. Callers must hold no lock (the apply
+  /// path takes state + pool).
   void Drain() DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
 
   /// Staleness counters; safe to call concurrently with serving. All-zero /
-  /// disabled in sync mode.
+  /// disabled in sync mode, whose staleness is 0 by construction.
   AsyncInferenceStats async_stats() const;
 
-  /// Test hook: runs on the service thread immediately before each answer is
-  /// applied (e.g. to slow an apply/EM pass down deliberately). Must be
+  /// Test hook: runs on the async service thread immediately before each
+  /// answer is applied, under the exclusive state lock (e.g. to slow an
+  /// apply/EM pass down deliberately). Must be
   /// installed before AddTasks/LoadCheckpoint — the service reads it
   /// unsynchronized once running.
   void SetAsyncApplyHookForTest(std::function<void(const PendingAnswer&)> hook) {
@@ -196,8 +195,8 @@ class ConcurrentDocsSystem {
   static constexpr size_t kNumShards = 16;
 
   /// One lock stripe: guards the scoring scratch below and the benefit-cache
-  /// rows of every worker hashing to this shard. Cache-line aligned so two
-  /// reactors hammering adjacent shards do not false-share.
+  /// rows and indexes of every worker hashing to this shard. Cache-line
+  /// aligned so two reactors hammering adjacent shards do not false-share.
   struct alignas(64) WorkerShard {
     Mutex mutex;
     /// Guarded by `mutex` (declared via the annotation so the analysis binds
@@ -205,88 +204,106 @@ class ConcurrentDocsSystem {
     DocsSystem::ShardScratch scratch DOCS_GUARDED_BY(mutex);
   };
 
-  /// The sharded fast path; caller holds the shared state lock and has
-  /// verified CanServeSharded. Snapshot → score → commit, retrying on a
-  /// commit-time redundancy-cap conflict (forced through, dropping only the
-  /// conflicted tasks, on the final attempt so a hot task cannot livelock
-  /// the request).
-  std::vector<size_t> ServeShardedLocked(size_t worker, size_t k)
-      DOCS_REQUIRES_SHARED(state_mutex_)
-          DOCS_EXCLUDES(assign_mutex_, pool_mutex_);
-
-  /// Async serving (DESIGN.md §15). RequestTasksAsync resolves through the
-  /// registry and serves from the published snapshot; ServeSnapshot is the
-  /// lock-free-over-state variant of ServeShardedLocked (shard stripe →
-  /// assign/pool only). ResolveWorkerAsync is the registry-miss fallback for
-  /// workers registered behind the registry's back (checkpoint recovery).
-  std::vector<size_t> RequestTasksAsync(const std::string& worker_id, size_t k)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
+  /// The snapshot serving path: eligibility → score → commit against `snap`
+  /// under `worker`'s shard stripe (plus assign for the lease phases and a
+  /// try-locked pool) — no state lock anywhere, so a concurrent apply, EM
+  /// pass or republish never blocks it. Retries on a commit-time
+  /// redundancy-cap conflict (forced through, dropping only the conflicted
+  /// tasks, on the final attempt so a hot task cannot livelock the request).
   std::vector<size_t> ServeSnapshot(const InferenceSnapshot& snap,
                                     size_t worker, size_t k)
       DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
-  std::optional<size_t> ResolveWorkerAsync(const std::string& worker_id)
+
+  /// The current snapshot, republished first if an answer or another
+  /// mutation since the last publish marked it stale.
+  std::shared_ptr<const InferenceSnapshot> FreshSnapshot()
       DOCS_EXCLUDES(state_mutex_, registry_mutex_);
 
-  /// Mirrors newly registered workers into the async registry (incremental:
-  /// only indices past the last sync).
+  /// Builds and publishes the next snapshot, clears the stale mark and
+  /// mirrors new registrations into the registry. Returns the retired
+  /// snapshot so the caller can drop it after releasing the state lock.
+  std::shared_ptr<const InferenceSnapshot> PublishLocked()
+      DOCS_REQUIRES(state_mutex_) DOCS_EXCLUDES(registry_mutex_);
+
+  /// Registry lookup only (no state lock).
+  std::optional<size_t> FindRegistered(const std::string& worker_id)
+      DOCS_EXCLUDES(registry_mutex_);
+
+  /// FindRegistered, falling back to the state table for workers registered
+  /// behind the registry's back (WithLocked, e.g. WAL recovery).
+  std::optional<size_t> ResolveWorker(const std::string& worker_id)
+      DOCS_EXCLUDES(state_mutex_, registry_mutex_);
+
+  /// Validates and books one submission under the assign lock.
+  [[nodiscard]] Status BookAnswer(size_t worker, size_t task, size_t choice)
+      DOCS_EXCLUDES(assign_mutex_);
+
+  /// Mirrors newly registered workers into the registry (incremental: only
+  /// indices past the last sync).
   void SyncRegistryFromStateLocked() DOCS_REQUIRES(state_mutex_)
       DOCS_EXCLUDES(registry_mutex_);
 
-  /// Books + registry + initial snapshot + service start, after a successful
-  /// ingest/restore.
-  void StartAsyncLocked() DOCS_REQUIRES(state_mutex_)
-      DOCS_EXCLUDES(assign_mutex_, registry_mutex_);
+  /// Registry + initial snapshot (+ the service thread in async mode), after
+  /// a successful ingest/restore.
+  void StartServingLocked() DOCS_REQUIRES(state_mutex_)
+      DOCS_EXCLUDES(registry_mutex_);
 
   /// The InferenceService's apply callback: runs on the service thread,
-  /// applies one FIFO batch under state (exclusive) + pool, and builds the
-  /// next snapshot copy-on-write.
-  std::shared_ptr<const InferenceSnapshot> ApplyBatch(
-      const std::vector<PendingAnswer>& batch)
+  /// applies one FIFO batch under state (exclusive) + pool, and publishes
+  /// the next snapshot copy-on-write.
+  void ApplyBatch(const std::vector<PendingAnswer>& batch)
       DOCS_EXCLUDES(state_mutex_, pool_mutex_);
 
   /// Narrow, documented escape hatch from system_'s GUARDED_BY(state_mutex_)
-  /// for the async paths that by design run without the state lock. Every
-  /// member they reach is protected by a finer lock the caller holds (assign
-  /// for books/leases, the shard stripe for cache rows) or is immutable
-  /// after ingest (tasks, options) — see the locking notes on each
-  /// DocsSystem async method.
-  DocsSystem& AsyncSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS { return system_; }
+  /// for the paths that by design run without the state lock. Every member
+  /// they reach is protected by a finer lock the caller holds (assign for
+  /// the submission and lease books, the shard stripe for cache rows and
+  /// indexes), is atomic (the serving counters), or is immutable after
+  /// ingest (tasks, options) — see the locking notes on DocsSystem's serving
+  /// plumbing.
+  DocsSystem& UnlockedSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS {
+    return system_;
+  }
 
   /// Top of the hierarchy: every other lock here is acquired strictly after
-  /// it (shared for the sharded serve, exclusive for mutators).
+  /// it (exclusive for mutators and republishes, shared for read-only
+  /// inspection).
   SharedMutex state_mutex_
       DOCS_ACQUIRED_BEFORE(assign_mutex_, pool_mutex_, registry_mutex_);
-  /// Lease books + logical clock; taken after state and any shard stripe,
-  /// never before one. In async mode also guards the submission books and is
-  /// the ONLY lock the lease paths (sweeps, grants, releases) need.
+  /// Lease books, logical clock and submission books; taken after state and
+  /// any shard stripe, never before one. The ONLY lock the lease paths
+  /// (sweeps, grants, releases) need.
   Mutex assign_mutex_ DOCS_ACQUIRED_BEFORE(pool_mutex_);
   /// Scoring-pool try-lock (DESIGN.md §13): the loser scores serially.
   Mutex pool_mutex_;
   WorkerShard shards_[kNumShards];
-  /// Async worker registry: external id → dense index, mirrored from the
-  /// state table so async SubmitAnswer resolves ids without the state lock.
-  /// Writers hold state (exclusive) + registry; readers registry alone.
+  /// Worker registry: external id → dense index, mirrored from the state
+  /// table so the serving calls resolve ids without the state lock. Writers
+  /// hold state (exclusive) + registry; readers registry alone.
   mutable SharedMutex registry_mutex_;
-  std::unordered_map<std::string, size_t> async_registry_
+  std::unordered_map<std::string, size_t> registry_
       DOCS_GUARDED_BY(registry_mutex_);
   /// Worker count already mirrored (indices < this are in the registry).
   size_t registered_count_ DOCS_GUARDED_BY(registry_mutex_) = 0;
-  /// Fixed at construction (copied before options move into system_).
+  /// Fixed at construction.
   const bool async_;
-  const size_t async_queue_capacity_;
   /// See SetAsyncApplyHookForTest: written before the service starts only.
   std::function<void(const PendingAnswer&)> async_apply_hook_;
-  /// Snapshot epoch the last async lease sweep was consistent with.
+  /// Snapshot epoch the last lease sweep was consistent with.
   std::atomic<uint64_t> last_sweep_epoch_{0};
-  /// The wrapped engine. Hold state_mutex_ — shared on read-mostly serving
-  /// paths (per-shard writes are funneled through the stripe mutexes),
-  /// exclusive for anything that mutates shared structure. Async paths go
-  /// through AsyncSystem() under the finer-lock contract documented there.
+  /// Set (under the exclusive state lock) by every mutation the published
+  /// snapshot does not reflect — an inline answer, a reseed, a full
+  /// inference, a servable worker served cold; cleared by every publish.
+  std::atomic<bool> snapshot_stale_{false};
+  /// The wrapped engine. Hold state_mutex_ exclusively for anything that
+  /// mutates shared structure. The snapshot paths go through
+  /// UnlockedSystem() under the finer-lock contract documented there.
   DocsSystem system_ DOCS_GUARDED_BY(state_mutex_);
-  /// The background inference thread; constructed (not started) in the
-  /// constructor when async mode is on, so the pointer is immutable while
-  /// any other thread can observe it. Declared last: destroyed first, and
-  /// its destructor joins the thread before system_ can die under it.
+  /// The snapshot holder, plus the background inference thread in async
+  /// mode; constructed in the constructor (started at ingest in async mode),
+  /// so the pointer is immutable while any other thread can observe it.
+  /// Declared last: destroyed first, and its destructor joins the thread
+  /// before system_ can die under it.
   std::unique_ptr<InferenceService> service_;
 };
 

@@ -89,7 +89,7 @@ std::vector<size_t> DocsSystem::RankCore(
 }
 
 std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
-    size_t worker, BenefitIndex* index, size_t k,
+    const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
     const std::function<double(size_t)>& score,
     std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
     const uint64_t* task_epochs, uint64_t generation,
@@ -100,65 +100,41 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
     return ScoreOne(task, score, cache, worker_epoch, task_epochs, generation,
                     saw_miss);
   };
-  const BenefitIndex::Source source = snap == nullptr
-                                          ? BenefitIndex::Source::kLive
-                                          : BenefitIndex::Source::kSnapshot;
-  // Sync the index: tags fresh + feed caught up = nothing to do; tags fresh
-  // with a bounded feed gap = targeted repairs; anything else = rebuild.
-  bool synced = false;
-  if (index->Fresh(source, worker_epoch, generation, n)) {
+  // One change feed: the engine's mutation log, read live on the exclusive
+  // path and from the window the snapshot carries on the snapshot path. The
+  // cursor is an absolute log sequence number either way, so an index built
+  // on one path catches up on the other.
+  const uint64_t log_begin =
+      snap == nullptr ? inference_->mutation_log_begin()
+                      : snap->mutation_log_begin;
+  const std::vector<size_t>& log =
+      snap == nullptr ? inference_->mutation_log() : snap->mutation_log;
+  const uint64_t log_end = log_begin + log.size();
+  // Tags fresh + cursor inside the window = replay the tail (nothing, when
+  // caught up). A cursor before the window (trimmed log) or past its end (an
+  // index the exclusive path built on newer live state than this snapshot)
+  // = rebuild. Any entry the index doesn't contain belongs to this worker's
+  // own answered set (excluded at build time); duplicates re-probe a
+  // now-fresh cache entry, which is cheap and idempotent.
+  if (index->Fresh(worker_epoch, generation, n) &&
+      index->cursor() >= log_begin && index->cursor() <= log_end) {
     size_t repaired = 0;
-    if (snap == nullptr) {
-      // Live source: replay the engine's mutation log from our cursor. Any
-      // entry we don't contain belongs to this worker's own answered set
-      // (excluded at build time); duplicates re-probe a now-fresh cache
-      // entry, which is cheap and idempotent.
-      const uint64_t log_begin = inference_->mutation_log_begin();
-      const uint64_t log_end = inference_->mutation_log_end();
-      if (index->cursor() >= log_begin && index->cursor() <= log_end) {
-        const std::vector<size_t>& log = inference_->mutation_log();
-        for (uint64_t seq = index->cursor(); seq < log_end; ++seq) {
-          const size_t task = log[seq - log_begin];
-          if (!index->contains(task)) continue;
-          index->Repair(task, score_one(task));
-          ++repaired;
-        }
-        index->set_cursor(log_end);
-        synced = true;
-      }
-    } else {
-      // Snapshot source: publishes are totally ordered, so an index exactly
-      // one publish behind catches up off the changed-task diff.
-      if (index->cursor() == snap->epoch) {
-        synced = true;
-      } else if (index->cursor() + 1 == snap->epoch) {
-        for (size_t task : snap->changed_tasks) {
-          if (!index->contains(task)) continue;
-          index->Repair(task, score_one(task));
-          ++repaired;
-        }
-        index->set_cursor(snap->epoch);
-        synced = true;
-      }
+    for (uint64_t seq = index->cursor(); seq < log_end; ++seq) {
+      const size_t task = log[seq - log_begin];
+      if (!index->contains(task)) continue;
+      index->Repair(task, score_one(task));
+      ++repaired;
     }
+    index->set_cursor(log_end);
     if (repaired > 0) {
       benefit_index_repairs_.fetch_add(repaired, std::memory_order_relaxed);
     }
-  }
-  if (!synced) {
-    // Live rebuilds exclude the worker's answered tasks — they can never
-    // become eligible again, so scoring them would be pure waste. (Safe to
-    // read here: the answered list only grows via her own submissions, each
-    // of which bumps her worker epoch and forces the next rebuild.) Snapshot
-    // rebuilds exclude nothing: the async answered books are assign-guarded
-    // and the snapshot path must not touch them; the eligibility predicate
-    // skips those entries and the budget bounds the cost.
-    const std::vector<size_t>* exclude =
-        snap == nullptr ? &inference_->answered_tasks(worker) : nullptr;
-    const uint64_t cursor =
-        snap == nullptr ? inference_->mutation_log_end() : snap->epoch;
-    index->Rebuild(n, source, worker_epoch, generation, cursor, exclude,
-                   score_one, pool);
+  } else {
+    // Rebuilds leave out the worker's booked answers: they can never become
+    // eligible again, so indexing them would waste scoring and, worse, make
+    // the frontier walk skip them on every pass until its budget runs out.
+    index->Rebuild(n, worker_epoch, generation, log_end, &answered, score_one,
+                   pool);
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
 #if DOCS_DEBUG_CHECKS
@@ -178,7 +154,7 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
 }
 
 std::vector<size_t> DocsSystem::RankWithIndex(
-    size_t worker, BenefitIndex* index, size_t k,
+    const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
     const std::function<double(size_t)>& score,
     std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
     const uint64_t* task_epochs, uint64_t generation,
@@ -190,7 +166,7 @@ std::vector<size_t> DocsSystem::RankWithIndex(
   // One saw-miss flag spans the repair phase AND the scan fallback: a pass
   // that recomputed any score anywhere is a request miss.
   std::atomic<bool> saw_miss{false};
-  auto ranked = TryRankViaIndex(worker, index, k, score, cache, worker_epoch,
+  auto ranked = TryRankViaIndex(answered, index, k, score, cache, worker_epoch,
                                 task_epochs, generation, eligible_one, pool,
                                 snap, &saw_miss);
   std::vector<size_t> selected =
@@ -326,19 +302,20 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   WorkerProfile& profile = workers_[worker];
 
   // Golden phase first: probe the new worker's per-domain quality. The
-  // answered view runs through the submission books in async mode, so an
-  // acked-but-unapplied golden answer is not re-granted.
+  // books lead the engine, so an acked-but-unapplied golden answer is not
+  // re-granted. With every golden task booked but not yet applied the
+  // request falls through to OTA; the phase itself ends only when the last
+  // golden answer is applied (FinishGoldenPhase seeds her quality there).
   if (!profile.golden_done) {
     std::vector<size_t> pending;
     for (size_t idx : golden_.tasks) {
-      if (!HasAnsweredView(worker, idx)) pending.push_back(idx);
+      if (!HasBooked(worker, idx)) pending.push_back(idx);
       if (pending.size() == k) break;
     }
     if (!pending.empty()) {
       GrantLeases(worker, pending);
       return pending;
     }
-    profile.golden_done = true;  // All golden answered between calls.
   }
 
   // OTA over T - T(w), honoring the per-task redundancy cap if one is set.
@@ -349,7 +326,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // visits — an O(n) bitmap build here would swamp the O(k log n) walk); the
   // full bitmap is built lazily, only when the pass falls back to the scan.
   auto eligible_one = [this, worker](size_t task) {
-    return !HasAnsweredView(worker, task) && !AtAnswerCap(task);
+    return !HasBooked(worker, task) && !AtAnswerCap(task);
   };
   auto eligible_bitmap = [this, worker]() -> const std::vector<uint8_t>& {
     BuildEligibilityBitmap(worker, &eligible_scratch_);
@@ -361,7 +338,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // benefit index when it can serve the request (DESIGN.md §16), otherwise
   // the deterministic parallel scan over the epoch-tagged benefit cache.
   auto selected = RankWithIndex(
-      worker, IndexRow(worker), k,
+      Booked(worker), IndexRow(worker), k,
       MakeScoreFn(inference_->worker_quality(worker).quality, nullptr,
                   quality_scratch_),
       CacheRow(worker), inference_->worker_epoch(worker),
@@ -373,14 +350,12 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
 
 void DocsSystem::BuildEligibilityBitmap(size_t worker,
                                         std::vector<uint8_t>* eligible) {
-  // Starts all-eligible and masks the worker's answered list in O(|T(w)|) —
-  // no per-task membership probes — in reusable storage so a warm scan pass
-  // allocates nothing. The answered view runs through the submission books
-  // in async mode, so an acked-but-unapplied answer is not re-granted.
+  // Starts all-eligible and masks the worker's booked answers in O(|T(w)|)
+  // — no per-task membership probes — in reusable storage so a warm scan
+  // pass allocates nothing. The books lead the engine, so an
+  // acked-but-unapplied answer is not re-granted.
   eligible->assign(tasks_.size(), 1);
-  for (size_t answered : AnsweredView(worker)) {
-    (*eligible)[answered] = 0;
-  }
+  for (size_t answered : Booked(worker)) (*eligible)[answered] = 0;
   if (options_.max_answers_per_task > 0) {
     for (size_t i = 0; i < tasks_.size(); ++i) {
       if (AtAnswerCap(i)) (*eligible)[i] = 0;
@@ -395,7 +370,7 @@ std::function<double(size_t)> DocsSystem::MakeScoreFn(
   if (options_.selection_rule == SelectionRule::kUncertainty) {
     // Ablation: most ambiguous tasks first, worker ignored.
     if (snap != nullptr) {
-      return [snap](size_t i) { return Entropy(snap->tasks[i]->truth); };
+      return [snap](size_t i) { return Entropy(snap->task(i).truth); };
     }
     return [this](size_t i) { return Entropy(inference_->task_truth(i)); };
   }
@@ -425,7 +400,7 @@ std::function<double(size_t)> DocsSystem::MakeScoreFn(
   if (snap != nullptr) {
     return [this, snap, &quality](size_t i) {
       thread_local BenefitScratch scratch;
-      const TaskPosteriorSnapshot& task = *snap->tasks[i];
+      const TaskPosteriorSnapshot& task = snap->task(i);
       return Benefit(tasks_[i], task.truth_matrix, task.truth, quality,
                      options_.assigner.quality_clamp, &scratch);
     };
@@ -438,53 +413,12 @@ std::function<double(size_t)> DocsSystem::MakeScoreFn(
   };
 }
 
-bool DocsSystem::CanServeSharded(size_t worker) const {
-  if (inference_ == nullptr || worker >= workers_.size()) return false;
-  // The golden probe mutates worker profiles and (on completion) seeds the
-  // quality vector — exclusive-path work.
-  if (!workers_[worker].golden_done) return false;
-  // Row sizing mutates shared structure (deque growth, row allocation);
-  // only the exclusive path may do it — sharded serving needs the row ready.
-  if (benefit_cache_.size() <= worker) return false;
-  if (benefit_cache_[worker].size() != tasks_.size()) return false;
-  // The index row, like the cache row, is allocated (deque growth) only on
-  // the exclusive path; the sharded path may mutate its contents under the
-  // worker's stripe but never the container.
-  return benefit_index_.size() > worker;
-}
-
-void DocsSystem::BeginShardedSelect(size_t worker,
-                                    std::vector<uint8_t>* eligible) {
-  // Caller holds the assign lock: the clock tick and the lease-count reads
-  // are serialized against every other grant and expiry.
+void DocsSystem::BeginShardedSelect(size_t worker, ShardScratch& scratch) {
+  // Caller holds the assign lock: the clock tick, the lease-count reads and
+  // the books are serialized against every other grant, expiry and booking.
   ++lease_clock_;
-  BuildEligibilityBitmap(worker, eligible);
-}
-
-std::vector<size_t> DocsSystem::ScoreAndRankSharded(size_t worker,
-                                                    ShardScratch& scratch,
-                                                    size_t k,
-                                                    ThreadPool* pool) {
-  // CanServeSharded guaranteed the rows are sized; no CacheRow/IndexRow here —
-  // those paths may resize, which only the exclusive lock permits.
-  const std::function<double(size_t)> score =
-      MakeScoreFn(inference_->worker_quality(worker).quality, nullptr,
-                  scratch.quality);
-  // Eligibility was frozen into the scratch bitmap under the assign lock
-  // (BeginShardedSelect); both the index walk and the scan fallback read that
-  // same frozen view, so the two paths pick from an identical candidate set.
-  auto eligible_one = [&scratch](size_t task) {
-    return scratch.eligible[task] != 0;
-  };
-  auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
-    return scratch.eligible;
-  };
-  return RankWithIndex(worker, &benefit_index_[worker], k, score,
-                       &benefit_cache_[worker],
-                       inference_->worker_epoch(worker),
-                       inference_->task_epochs().data(),
-                       inference_->generation(), eligible_one, eligible_bitmap,
-                       pool, nullptr);
+  BuildEligibilityBitmap(worker, &scratch.eligible);
+  scratch.answered = Booked(worker);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -493,7 +427,7 @@ bool DocsSystem::CommitShardedSelect(size_t worker,
   // Between snapshot and commit other shards may have granted leases; a
   // selected task pushed to the redundancy cap in that window must not be
   // over-assigned. Under sequential driving this never fires, which keeps
-  // the sharded path bit-identical to the monolithic SelectTasks.
+  // the snapshot path bit-identical to the monolithic SelectTasks.
   if (options_.max_answers_per_task > 0) {
     bool conflict = false;
     for (size_t task : *selected) {
@@ -614,11 +548,9 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
   if (inference_ == nullptr) {
     return FailedPreconditionError("no tasks ingested");
   }
-  if (worker >= workers_.size()) {
-    return InvalidArgumentError("unknown worker " + std::to_string(worker));
-  }
   // Bounds come first: a malformed task index must never reach
-  // answers_per_task_[task] / tasks_[task] / is_golden_[task].
+  // answers_per_task_[task] / tasks_[task] / is_golden_[task]. Task
+  // metadata is immutable after ingest, so these reads need no state lock.
   if (task >= tasks_.size()) {
     return InvalidArgumentError("unknown task " + std::to_string(task));
   }
@@ -628,7 +560,7 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
                            " with " + std::to_string(tasks_[task].num_choices) +
                            " choices");
   }
-  if (inference_->HasAnswered(worker, task)) {
+  if (HasBooked(worker, task)) {
     return AlreadyExistsError("duplicate answer from worker " +
                               std::to_string(worker) + " for task " +
                               std::to_string(task));
@@ -636,38 +568,41 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
   return OkStatus();
 }
 
-const std::vector<size_t>& DocsSystem::AnsweredView(size_t worker) const {
-  if (options_.async_inference) {
-    static const std::vector<size_t> kEmpty;
-    if (worker >= async_answered_.size()) return kEmpty;
-    return async_answered_[worker];
-  }
-  return inference_->answered_tasks(worker);
+const std::vector<size_t>& DocsSystem::Booked(size_t worker) const {
+  static const std::vector<size_t> kNone;
+  return worker < answered_.size() ? answered_[worker] : kNone;
 }
 
-bool DocsSystem::HasAnsweredView(size_t worker, size_t task) const {
-  if (options_.async_inference) {
-    const std::vector<size_t>& answered = AnsweredView(worker);
-    return std::binary_search(answered.begin(), answered.end(), task);
-  }
-  return inference_->HasAnswered(worker, task);
-}
-
-size_t DocsSystem::AnsweredCountView(size_t task) const {
-  if (options_.async_inference) {
-    return task < async_answers_per_task_.size() ? async_answers_per_task_[task]
-                                                 : 0;
-  }
-  return answers_per_task_[task];
+bool DocsSystem::HasBooked(size_t worker, size_t task) const {
+  const std::vector<size_t>& answered = Booked(worker);
+  return std::binary_search(answered.begin(), answered.end(), task);
 }
 
 bool DocsSystem::AtAnswerCap(size_t task) const {
   return options_.max_answers_per_task > 0 &&
-         AnsweredCountView(task) + lease_count_[task] >=
+         answers_per_task_[task] + lease_count_[task] >=
              options_.max_answers_per_task;
 }
 
-bool DocsSystem::AbsorbAnswerCore(size_t worker, size_t task, size_t choice) {
+void DocsSystem::BookAnswer(size_t worker, size_t task) {
+  if (answered_.size() <= worker) answered_.resize(worker + 1);
+  std::vector<size_t>& answered = answered_[worker];
+  answered.insert(std::upper_bound(answered.begin(), answered.end(), task),
+                  task);
+  ++answers_per_task_[task];
+  ReleaseLease(worker, task);
+}
+
+Status DocsSystem::AdmitAnswer(size_t worker, size_t task, size_t choice) {
+  if (inference_ != nullptr && worker >= workers_.size()) {
+    return InvalidArgumentError("unknown worker " + std::to_string(worker));
+  }
+  Status status = ValidateAnswer(worker, task, choice);
+  if (status.ok()) BookAnswer(worker, task);
+  return status;
+}
+
+bool DocsSystem::AbsorbAnswer(size_t worker, size_t task, size_t choice) {
   WorkerProfile& profile = workers_[worker];
   const bool golden_answer =
       is_golden_[task] && known_truth_[task] >= 0 && !profile.golden_done;
@@ -694,93 +629,46 @@ bool DocsSystem::AbsorbAnswerCore(size_t worker, size_t task, size_t choice) {
   return true;
 }
 
-void DocsSystem::AbsorbAnswer(size_t worker, size_t task, size_t choice) {
-  if (!AbsorbAnswerCore(worker, task, choice)) return;
-  ++answers_per_task_[task];
-  ReleaseLease(worker, task);
+void DocsSystem::Reinfer() {
+  inference_->RunFullInference(ScoringPool());
+  answers_since_reinfer_ = 0;
+  generation_invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status DocsSystem::SubmitAnswer(size_t worker, size_t task, size_t choice) {
-  Status status = ValidateAnswer(worker, task, choice);
+  Status status = AdmitAnswer(worker, task, choice);
   if (!status.ok()) return status;
-  AbsorbAnswer(worker, task, choice);
-
-  // Delayed full inference every z submissions (Section 4.2), on the shared
-  // scoring pool — the embedded engine must not stack a second hardware-sized
-  // pool on top of ours.
-  if (options_.reinfer_every > 0 &&
-      ++answers_since_reinfer_ >= options_.reinfer_every) {
-    inference_->RunFullInference(ScoringPool());
-    answers_since_reinfer_ = 0;
-  }
-  return OkStatus();
+  return ApplyAnswer(worker, task, choice);
 }
 
-void DocsSystem::RebuildAsyncBooks() {
-  async_answered_.assign(workers_.size(), {});
-  if (inference_ == nullptr) {
-    async_answers_per_task_.clear();
-    return;
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    async_answered_[w] = inference_->answered_tasks(w);  // Already ascending.
-  }
-  async_answers_per_task_ = answers_per_task_;
-}
-
-Status DocsSystem::ValidateAsyncSubmission(size_t worker, size_t task,
-                                           size_t choice) const {
-  if (inference_ == nullptr) {
-    return FailedPreconditionError("no tasks ingested");
-  }
-  // No unknown-worker check here: the facade resolved `worker` through its
-  // registry before calling (probing workers_ would read state the serving
-  // thread must not touch). Task metadata is immutable after AddTasks, so
-  // the bounds checks below are safe without the state lock. Messages track
-  // ValidateAnswer verbatim — async mode must not change the wire contract.
-  if (task >= tasks_.size()) {
-    return InvalidArgumentError("unknown task " + std::to_string(task));
-  }
-  if (choice >= tasks_[task].num_choices) {
-    return OutOfRangeError("choice " + std::to_string(choice) +
-                           " out of range for task " + std::to_string(task) +
-                           " with " + std::to_string(tasks_[task].num_choices) +
-                           " choices");
-  }
-  if (HasAnsweredView(worker, task)) {
-    return AlreadyExistsError("duplicate answer from worker " +
-                              std::to_string(worker) + " for task " +
-                              std::to_string(task));
-  }
-  return OkStatus();
-}
-
-void DocsSystem::RecordAsyncSubmission(size_t worker, size_t task) {
-  if (async_answered_.size() <= worker) async_answered_.resize(worker + 1);
-  std::vector<size_t>& answered = async_answered_[worker];
-  answered.insert(std::upper_bound(answered.begin(), answered.end(), task),
-                  task);
-  ++async_answers_per_task_[task];
-  ReleaseLease(worker, task);
-}
-
-Status DocsSystem::ApplyAsyncAnswer(size_t worker, size_t task, size_t choice) {
-  // Re-validate against the live engine as a hard guard; a correctly booked
-  // answer can only pass (the books run ahead of the engine, never behind).
-  Status status = ValidateAnswer(worker, task, choice);
-  if (!status.ok()) return status;
-  if (!AbsorbAnswerCore(worker, task, choice)) {
+Status DocsSystem::ApplyAnswer(size_t worker, size_t task, size_t choice) {
+  if (!AbsorbAnswer(worker, task, choice)) {
     return InternalError("inference rejected a booked answer");
   }
-  ++answers_per_task_[task];
-  // Same periodic full inference as the sync path — identical op sequence,
-  // so post-Drain() state is bitwise-identical (DESIGN.md §15).
+  // Delayed full inference every z submissions (Section 4.2), on the shared
+  // scoring pool — the embedded engine must not stack a second
+  // hardware-sized pool on top of ours.
   if (options_.reinfer_every > 0 &&
       ++answers_since_reinfer_ >= options_.reinfer_every) {
-    inference_->RunFullInference(ScoringPool());
-    answers_since_reinfer_ = 0;
+    Reinfer();
   }
   return OkStatus();
+}
+
+ServingCounters DocsSystem::serving_counters() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  ServingCounters out;
+  out.benefit_cache_hits = benefit_cache_hits_.load(kRelaxed);
+  out.benefit_cache_misses = benefit_cache_misses_.load(kRelaxed);
+  out.benefit_cache_request_hits = benefit_cache_request_hits_.load(kRelaxed);
+  out.benefit_cache_request_misses =
+      benefit_cache_request_misses_.load(kRelaxed);
+  out.benefit_index_pops = benefit_index_pops_.load(kRelaxed);
+  out.benefit_index_repairs = benefit_index_repairs_.load(kRelaxed);
+  out.benefit_index_rebuilds = benefit_index_rebuilds_.load(kRelaxed);
+  out.benefit_index_generation_invalidations =
+      generation_invalidations_.load(kRelaxed);
+  return out;
 }
 
 std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
@@ -797,34 +685,44 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
   // the new snapshot would alias stale state.
   const bool same_generation = prev != nullptr && prev->generation == generation;
 
-  // Tasks copy-on-write: a task whose inference epoch is unchanged shares
-  // the previous snapshot's immutable posterior; only the tasks the applied
-  // batch (or EM pass) actually moved are copied — and recorded in
-  // changed_tasks, the diff a one-publish-stale index repairs from.
+  // The mutation-log window: an index synced anywhere inside it repairs the
+  // tail instead of rebuilding (DESIGN.md §16).
+  snap->mutation_log_begin = inference_->mutation_log_begin();
+  snap->mutation_log = inference_->mutation_log();
+
+  // Task chunks copy-on-write: a chunk whose task epochs are all unchanged
+  // shares the previous snapshot's immutable posteriors; only the chunks the
+  // applied answers (or an EM pass) actually moved are copied.
   const size_t n = tasks_.size();
-  snap->task_epochs.resize(n);
-  snap->tasks.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t epoch = inference_->task_epoch(i);
-    snap->task_epochs[i] = epoch;
-    if (same_generation && i < prev->task_epochs.size() &&
-        prev->task_epochs[i] == epoch) {
-      snap->tasks[i] = prev->tasks[i];
+  constexpr size_t kChunk = InferenceSnapshot::kTasksPerChunk;
+  snap->task_epochs = inference_->task_epochs();
+  const uint64_t* epochs = snap->task_epochs.data();
+  const size_t num_chunks = (n + kChunk - 1) / kChunk;
+  const bool share = same_generation && prev->task_chunks.size() == num_chunks;
+  snap->task_chunks.resize(num_chunks);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t begin = c * kChunk;
+    const size_t end = std::min(n, begin + kChunk);
+    if (share && std::equal(epochs + begin, epochs + end,
+                            prev->task_epochs.data() + begin)) {
+      snap->task_chunks[c] = prev->task_chunks[c];
       continue;
     }
-    auto task_snap = std::make_shared<TaskPosteriorSnapshot>();
-    task_snap->truth_matrix = inference_->truth_matrix(i);
-    task_snap->truth = inference_->task_truth(i);
-    snap->tasks[i] = std::move(task_snap);
-    snap->changed_tasks.push_back(i);
+    auto chunk = std::make_shared<std::vector<TaskPosteriorSnapshot>>();
+    chunk->reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      chunk->push_back(
+          {inference_->truth_matrix(i), inference_->task_truth(i)});
+    }
+    snap->task_chunks[c] = std::move(chunk);
   }
 
   snap->workers.resize(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) {
     // CacheRow/IndexRow size the rows under the exclusive lock held here, so
-    // the snapshot path never has to (row growth is exclusive-path work,
-    // exactly as on the sharded sync path). The row objects' addresses are
-    // stable for the system's lifetime (deque) — safe to publish.
+    // the snapshot path never has to (row growth is exclusive-path work).
+    // The row objects' addresses are stable for the system's lifetime
+    // (deque) — safe to publish.
     std::vector<CachedBenefit>* row = CacheRow(w);
     BenefitIndex* index = IndexRow(w);
     const uint64_t epoch = inference_->worker_epoch(w);
@@ -857,16 +755,16 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
   // snapshot's posteriors would yield.
   const std::function<double(size_t)> score =
       MakeScoreFn(view.quality, &snap, scratch.quality);
-  // Same frozen-bitmap discipline as the sharded sync path: eligibility was
-  // captured under the assign lock, and both the index walk and the scan
-  // fallback pick from that one candidate set.
+  // Eligibility was frozen into the scratch bitmap under the assign lock
+  // (BeginShardedSelect); both the index walk and the scan fallback pick
+  // from that one candidate set.
   auto eligible_one = [&scratch](size_t task) {
     return scratch.eligible[task] != 0;
   };
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(worker, view.index, k, score, view.cache_row,
+  return RankWithIndex(scratch.answered, view.index, k, score, view.cache_row,
                        view.epoch, snap.task_epochs.data(), snap.generation,
                        eligible_one, eligible_bitmap, pool, &snap);
 }
@@ -884,9 +782,7 @@ std::vector<size_t> DocsSystem::InferredChoices() {
 }
 
 void DocsSystem::RunFullInference() {
-  if (inference_ == nullptr) return;
-  inference_->RunFullInference(ScoringPool());
-  answers_since_reinfer_ = 0;
+  if (inference_ != nullptr) Reinfer();
 }
 
 std::vector<std::string> DocsSystem::WorkerIds() const {
@@ -978,6 +874,7 @@ Status DocsSystem::LoadCheckpoint(const std::string& path) {
 
   inference_ = std::make_unique<IncrementalTruthInference>(
       tasks_, options_.truth_inference);
+  answered_.clear();
   answers_per_task_.assign(tasks_.size(), 0);
   lease_count_.assign(tasks_.size(), 0);
   leases_.clear();  // Leases are volatile: a restore reclaims all grants.
@@ -1014,18 +911,17 @@ Status DocsSystem::LoadCheckpoint(const std::string& path) {
   size_t replayed = 0;
   size_t dropped = 0;
   for (const auto& answer : checkpoint->answers) {
-    if (!ValidateAnswer(answer.worker, answer.task, answer.choice).ok()) {
+    if (!AdmitAnswer(answer.worker, answer.task, answer.choice).ok()) {
       ++dropped;
       continue;
     }
-    AbsorbAnswer(answer.worker, answer.task, answer.choice);
-    ++replayed;
+    if (AbsorbAnswer(answer.worker, answer.task, answer.choice)) ++replayed;
   }
   if (dropped > 0) {
     DOCS_LOG(Warning) << "checkpoint replay dropped " << dropped
                       << " invalid answer record(s), kept " << replayed;
   }
-  if (replayed > 0) inference_->RunFullInference(ScoringPool());
+  if (replayed > 0) Reinfer();
   answers_since_reinfer_ = 0;
   return OkStatus();
 }

@@ -61,6 +61,34 @@ struct ExpiredLease {
   uint64_t deadline = 0;
 };
 
+/// Benefit-cache and benefit-index effectiveness counters (DESIGN.md §11,
+/// §16), monotonic over the system's lifetime.
+struct ServingCounters {
+  /// Row level: individual (worker, task) scores answered from a still-valid
+  /// cache entry vs. recomputed. One serving request touches O(n) rows, so
+  /// these are the wrong unit for a hit-*rate*.
+  uint64_t benefit_cache_hits = 0;
+  uint64_t benefit_cache_misses = 0;
+  /// Request level: one count per serving scoring pass that granted at least
+  /// one task. A pass that recomputed nothing — every score it needed served
+  /// from the cache or the index — is a hit; one that recomputed at least
+  /// one score is a miss. hit / (hit + miss) is the hit-rate a dashboard
+  /// should display. Golden-phase grants, passes that found no eligible
+  /// task, k = 0 requests and ScoreAllTasks do not count.
+  uint64_t benefit_cache_request_hits = 0;
+  uint64_t benefit_cache_request_misses = 0;
+  /// Heap nodes visited by index-served selections (the k-log-n work unit),
+  /// targeted repairs replayed from the mutation log, and full O(n)
+  /// rebuilds (first contact, worker-epoch or generation staleness, cursor
+  /// outside the feed window).
+  uint64_t benefit_index_pops = 0;
+  uint64_t benefit_index_repairs = 0;
+  uint64_t benefit_index_rebuilds = 0;
+  /// Full re-inference runs, each of which staled every cache row and index
+  /// with one generation bump (the engine's generation - 1).
+  uint64_t benefit_index_generation_invalidations = 0;
+};
+
 struct DocsSystemOptions {
   nlp::EntityLinkerOptions linker;
   TruthInferenceOptions truth_inference;
@@ -96,14 +124,16 @@ struct DocsSystemOptions {
   /// 0 = hardware concurrency, 1 = the historical sequential behavior.
   /// Results are bit-identical for every value; see DESIGN.md §8.
   size_t num_threads = 0;
-  /// Decouple inference from serving (DESIGN.md §15): SubmitAnswer validates
-  /// against the submission books and enqueues onto a background inference
-  /// service, and RequestTasks scores against the last published immutable
-  /// snapshot — so an answer burst (retro-update fan-out, the periodic full
-  /// EM) never blocks a concurrent RequestTasks. Consumed by
-  /// ConcurrentDocsSystem; a bare DocsSystem ignores everything but the
-  /// book-keeping switches. Post-Drain() state is bitwise-identical to sync
-  /// mode (tests/inference_service_test.cc).
+  /// What ConcurrentDocsSystem::SubmitAnswer does with a validated, booked
+  /// answer (DESIGN.md §15). RequestTasks scores against the last published
+  /// immutable snapshot either way. Off (staleness 0): the answer is applied
+  /// inline under the exclusive state lock and the snapshot marked stale, so
+  /// the next RequestTasks republishes before it serves. On: the answer is
+  /// enqueued onto a background inference service that applies and
+  /// publishes in batches, so an answer burst (retro-update fan-out, the
+  /// periodic full EM) never blocks a concurrent serving call; staleness is
+  /// bounded by the queue. A bare DocsSystem ignores it. Post-Drain() state
+  /// is bitwise-identical across the two (tests/inference_service_test.cc).
   bool async_inference = false;
   /// Bound on answers acknowledged but not yet applied by the background
   /// service; submitters block (backpressure) once it is reached.
@@ -173,8 +203,8 @@ class DocsSystem : public AssignmentPolicy {
   /// tasks (FailedPrecondition), unknown workers/tasks (InvalidArgument),
   /// out-of-range choices (OutOfRange) and duplicate (worker, task)
   /// submissions (AlreadyExists) — AMT retries and malformed callbacks must
-  /// not corrupt inference state. On success the answer is absorbed and any
-  /// lease the worker held on the task is released.
+  /// not corrupt inference state. On success the answer is booked (any lease
+  /// the worker held on the task is released) and applied.
   [[nodiscard]] Status SubmitAnswer(size_t worker, size_t task, size_t choice);
 
   /// Releases every lease whose deadline is at or before `now` and returns
@@ -185,53 +215,10 @@ class DocsSystem : public AssignmentPolicy {
   uint64_t lease_clock() const { return lease_clock_; }
   size_t outstanding_leases() const { return leases_.size(); }
 
-  /// Benefit-cache effectiveness counters, at row granularity: individual
-  /// (worker, task) scores answered from a still-valid cache entry vs.
-  /// recomputed. One serving request touches O(n) rows, so these are the
-  /// wrong unit for a hit-*rate* — use the request-level counters below for
-  /// that. Monotonic over the system's lifetime.
-  uint64_t benefit_cache_hits() const {
-    return benefit_cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t benefit_cache_misses() const {
-    return benefit_cache_misses_.load(std::memory_order_relaxed);
-  }
-
-  /// Request-level cache counters: one count per serving scoring pass that
-  /// granted at least one task. A pass that recomputed nothing — every
-  /// score it needed served from the cache or the index — is a request
-  /// hit; a pass that recomputed at least one score is a request miss.
-  /// hit / (hit + miss) is the hit-rate a dashboard should display.
-  /// Golden-phase grants, passes that found no eligible task, k = 0
-  /// requests and ScoreAllTasks do not count. Monotonic.
-  uint64_t benefit_cache_request_hits() const {
-    return benefit_cache_request_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t benefit_cache_request_misses() const {
-    return benefit_cache_request_misses_.load(std::memory_order_relaxed);
-  }
-
-  /// Benefit-index effectiveness counters (DESIGN.md §16). Pops counts heap
-  /// nodes visited by index-served selections (the k-log-n work unit);
-  /// repairs counts targeted in-place fixups driven by the engine's mutation
-  /// log or a snapshot's changed-task diff; rebuilds counts full O(n)
-  /// reconstructions (first contact, worker-epoch or generation staleness,
-  /// feed-cursor gaps). Monotonic.
-  uint64_t benefit_index_pops() const {
-    return benefit_index_pops_.load(std::memory_order_relaxed);
-  }
-  uint64_t benefit_index_repairs() const {
-    return benefit_index_repairs_.load(std::memory_order_relaxed);
-  }
-  uint64_t benefit_index_rebuilds() const {
-    return benefit_index_rebuilds_.load(std::memory_order_relaxed);
-  }
-  /// O(1) invalidation events: full re-inference runs that staled every
-  /// cache row and index with one generation bump (the engine's generation
-  /// starts at 1, so this is generation - 1). 0 before ingest.
-  uint64_t benefit_index_generation_invalidations() const {
-    return inference_ != nullptr ? inference_->generation() - 1 : 0;
-  }
+  /// The serving counters, each a relaxed atomic load: safe to call from any
+  /// thread without the facade's state lock, and not a consistent
+  /// cross-counter snapshot.
+  ServingCounters serving_counters() const;
 
   /// Scores every task for `worker` under the configured selection rule and
   /// returns the raw scores (ignoring eligibility). With `bypass_cache` the
@@ -253,37 +240,46 @@ class DocsSystem : public AssignmentPolicy {
   /// and therefore inference's float summation order — are reproduced.
   std::vector<std::string> WorkerIds() const;
 
-  // --- Sharded serving plumbing (DESIGN.md §13) ----------------------------
-  // These split the steady-state SelectTasks into snapshot → score → commit
-  // phases so ConcurrentDocsSystem can run the scoring phase of several
-  // workers genuinely in parallel under a shared (reader) state lock.
-  // Locking contract (enforced by the facade, not checked here):
-  //  - CanServeSharded / ScoreAndRankSharded: shared state lock held, plus
-  //    the worker's shard lock (the pass reads and refreshes her cache row).
-  //  - BeginShardedSelect / CommitShardedSelect: the facade's assign lock on
-  //    top of the shared state lock (they touch the lease books and clock).
+  // --- Serving plumbing (DESIGN.md §13-§15) --------------------------------
+  // ConcurrentDocsSystem serves every post-golden request from a published
+  // InferenceSnapshot in three phases — eligibility → score → commit — so
+  // the scoring phase of several workers runs genuinely in parallel without
+  // the state lock. A submission is split the same way: validate + book
+  // (what the serving phases read) and apply (what the snapshot is built
+  // from). Locking contract (enforced by the facade, not checked here):
+  //  - the submission books, the lease books and the clock are guarded by
+  //    the facade's assign lock: ValidateAnswer, BookAnswer,
+  //    BeginShardedSelect and CommitShardedSelect hold it;
+  //  - ScoreAndRankSnapshot holds the worker's shard lock (the pass reads
+  //    and refreshes her cache row and index) and no state lock;
+  //  - ApplyAnswer and BuildSnapshot hold the exclusive state lock.
 
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
+  /// `eligible` and `answered` are the phase-1 copies of the worker's
+  /// eligibility bitmap and booked answers.
   struct ShardScratch {
     std::vector<uint8_t> eligible;
+    std::vector<size_t> answered;
     std::vector<double> quality;
   };
 
-  /// True when `worker` can be served without the exclusive lock: she is
-  /// registered, past the golden phase, and her cache row and index are
-  /// already allocated — first contact, golden probes, and row growth all
-  /// mutate shared structure and take the exclusive path.
-  bool CanServeSharded(size_t worker) const;
+  /// True once `worker` is past the golden probe: the snapshot path may
+  /// serve her (state lock held).
+  bool golden_done(size_t worker) const { return workers_[worker].golden_done; }
 
-  /// Phase 1: advances the lease clock and snapshots the worker's
-  /// eligibility bitmap into `eligible` (answered mask + redundancy cap).
-  void BeginShardedSelect(size_t worker, std::vector<uint8_t>* eligible);
+  /// Phase 1: advances the lease clock and copies the worker's eligibility
+  /// bitmap (answered mask + redundancy cap) and booked answers into
+  /// `scratch`.
+  void BeginShardedSelect(size_t worker, ShardScratch& scratch);
 
-  /// Phase 2: scores the snapshot and returns the provisional top-k.
-  /// `pool` is the shared scoring pool when the caller won it, nullptr to
-  /// score serially — results are bit-identical either way (DESIGN.md §8).
-  std::vector<size_t> ScoreAndRankSharded(size_t worker, ShardScratch& scratch,
-                                          size_t k, ThreadPool* pool);
+  /// Phase 2: scores `scratch.eligible` against `snap` (never touching live
+  /// inference state) and returns the provisional top-k. `pool` is the
+  /// shared scoring pool when the caller won it, nullptr to score serially —
+  /// results are bit-identical either way (DESIGN.md §8).
+  std::vector<size_t> ScoreAndRankSnapshot(const InferenceSnapshot& snap,
+                                           size_t worker,
+                                           ShardScratch& scratch, size_t k,
+                                           ThreadPool* pool);
 
   /// Phase 3: re-validates the selection against leases granted since the
   /// snapshot and commits the grants. False (nothing committed) when a
@@ -295,60 +291,36 @@ class DocsSystem : public AssignmentPolicy {
 
   /// Lazily built pool shared by every hot loop the system drives —
   /// SelectTasks scoring and the embedded engine's periodic full inference;
-  /// nullptr when configured sequential. Sharded callers must hold the
-  /// facade's pool lock; exclusive callers need no extra lock.
+  /// nullptr when configured sequential. Snapshot scorers must hold the
+  /// facade's pool lock.
   ThreadPool* ScoringPool();
 
-  // --- Async inference plumbing (DESIGN.md §15) ---------------------------
-  // With options.async_inference the facade splits SubmitAnswer into a
-  // synchronous half (validate + book + lease release, under its assign
-  // lock) and an asynchronous half (inference absorption on the service
-  // thread, under its exclusive state lock). The submission books reproduce
-  // the sync-mode timeline of "who answered what" at ack time, so
-  // validation, eligibility, golden pacing, and redundancy caps behave
-  // exactly as if the answer had been applied inline.
-
-  /// Sizes the books from current inference state (registered workers'
-  /// answered lists, per-task counts). Exclusive state lock + assign lock;
-  /// called at ingest/restore time before the service starts.
-  void RebuildAsyncBooks();
-
-  /// Mirrors ValidateAnswer (same status codes and ordering) against the
-  /// submission books instead of live inference state, so a duplicate is
-  /// rejected synchronously even while the original is still queued.
-  /// Assign lock held.
-  [[nodiscard]] Status ValidateAsyncSubmission(size_t worker, size_t task,
-                                               size_t choice) const;
+  /// Checks one submission against the submission books: no tasks ingested
+  /// (FailedPrecondition), unknown task (InvalidArgument), out-of-range
+  /// choice (OutOfRange), duplicate (worker, task) pair (AlreadyExists). The
+  /// books lead the engine by any queued answers, so a duplicate is caught
+  /// at ack time even while the original is still queued. The caller
+  /// resolved `worker` to a registered index.
+  [[nodiscard]] Status ValidateAnswer(size_t worker, size_t task,
+                                      size_t choice) const;
 
   /// Books one validated submission: marks (worker, task) answered, counts
-  /// it against the redundancy cap, releases the worker's lease — the
-  /// sync-path side effects that must be visible at ack time. Assign lock
-  /// held.
-  void RecordAsyncSubmission(size_t worker, size_t task);
+  /// it against the redundancy cap and releases the worker's lease — the
+  /// side effects eligibility must see at ack time.
+  void BookAnswer(size_t worker, size_t task);
 
-  /// Applies one queued answer on the service thread: inference absorption,
-  /// golden accounting, and the same periodic full-inference trigger as the
-  /// sync path — so the engine sees the identical operation sequence and
-  /// post-Drain() state is bitwise-identical. Exclusive state lock held
-  /// (plus the facade's pool lock, for the EM fan-out).
-  [[nodiscard]] Status ApplyAsyncAnswer(size_t worker, size_t task,
-                                        size_t choice);
+  /// Applies one booked answer to the engine: inference absorption, golden
+  /// accounting, and the periodic full inference every z answers. Inline
+  /// (sync) and queued (async) answers run this same sequence, so
+  /// post-Drain() state is bitwise-identical.
+  [[nodiscard]] Status ApplyAnswer(size_t worker, size_t task, size_t choice);
 
   /// Builds the next snapshot copy-on-write against `prev`: tasks and
   /// workers whose inference epochs are unchanged share the previous
   /// snapshot's immutable pieces. Also sizes every registered worker's
-  /// benefit-cache row so the snapshot path can serve her. Exclusive state
-  /// lock held.
+  /// benefit-cache row and index so the snapshot path can serve her.
   std::shared_ptr<const InferenceSnapshot> BuildSnapshot(
       const InferenceSnapshot* prev);
-
-  /// Scores `scratch.eligible` against `snap` (never touching live
-  /// inference state) and returns the provisional top-k. Caller holds the
-  /// worker's shard lock — NOT the state lock; that is the point.
-  std::vector<size_t> ScoreAndRankSnapshot(const InferenceSnapshot& snap,
-                                           size_t worker,
-                                           ShardScratch& scratch, size_t k,
-                                           ThreadPool* pool);
 
   /// External id of a registered worker (state lock held).
   const std::string& worker_external_id(size_t worker) const {
@@ -376,8 +348,8 @@ class DocsSystem : public AssignmentPolicy {
   void FinishGoldenPhase(size_t worker);
 
   /// Builds the eligibility bitmap for `worker` into `*eligible` (all-open
-  /// minus her answered view minus redundancy-capped tasks). Shared by the
-  /// exclusive scan fallback and the sharded phase-1 snapshot.
+  /// minus her booked answers minus redundancy-capped tasks). Shared by the
+  /// exclusive scan fallback and the phase-1 snapshot.
   void BuildEligibilityBitmap(size_t worker, std::vector<uint8_t>* eligible);
 
   /// Builds the selection-rule scoring function for a worker whose quality
@@ -393,8 +365,8 @@ class DocsSystem : public AssignmentPolicy {
   /// The scan ranking core: scores every eligible task (over `pool` when
   /// non-null), maintains the row-level cache counters, and returns the
   /// ordered top-k through the shared PICK helper. `task_epochs` keys the
-  /// cache: the live engine's epochs on the sync paths, the published
-  /// snapshot's copy on the async serving path.
+  /// cache: the live engine's epochs on the exclusive path, the published
+  /// snapshot's copy on the snapshot path.
   std::vector<size_t> RankCore(const std::vector<uint8_t>& eligible, size_t k,
                                const std::function<double(size_t)>& score,
                                std::vector<CachedBenefit>* cache,
@@ -404,13 +376,15 @@ class DocsSystem : public AssignmentPolicy {
                                std::atomic<bool>* saw_miss);
 
   /// The index-accelerated ranking attempt (DESIGN.md §16): syncs `index` to
-  /// (worker_epoch, generation) — full rebuild on a tag mismatch or feed
-  /// gap, targeted repairs from the engine's mutation log (`snap` null) or
-  /// the snapshot's changed-task diff otherwise — then reads the top-k
-  /// eligible tasks off the heap. nullopt when the frontier walk exceeded
-  /// its skip budget; the caller falls back to the bit-identical scan.
+  /// (worker_epoch, generation) — full rebuild (leaving out the worker's
+  /// `answered` tasks, ascending) on a tag mismatch or a cursor outside the
+  /// mutation-log window, targeted repairs from the window otherwise; the
+  /// window is the live engine's (`snap` null) or the one the snapshot
+  /// carries — then reads the top-k eligible tasks off the heap. nullopt
+  /// when the frontier walk exceeded its skip budget; the caller falls back
+  /// to the bit-identical scan.
   std::optional<std::vector<size_t>> TryRankViaIndex(
-      size_t worker, BenefitIndex* index, size_t k,
+      const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
       const std::function<double(size_t)>& score,
       std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
       const uint64_t* task_epochs, uint64_t generation,
@@ -423,7 +397,7 @@ class DocsSystem : public AssignmentPolicy {
   /// request-level cache counters across whichever path served. k = 0
   /// returns at once.
   std::vector<size_t> RankWithIndex(
-      size_t worker, BenefitIndex* index, size_t k,
+      const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
       const std::function<double(size_t)>& score,
       std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
       const uint64_t* task_epochs, uint64_t generation,
@@ -435,8 +409,8 @@ class DocsSystem : public AssignmentPolicy {
   std::vector<CachedBenefit>* CacheRow(size_t worker);
 
   /// The worker's benefit index, growing the container as needed (exclusive
-  /// path only — sharded and snapshot paths reach the index through
-  /// pre-sized references/pointers).
+  /// path only — the snapshot path reaches the index through its published
+  /// pointer).
   BenefitIndex* IndexRow(size_t worker);
 
   /// One cached score: probes `cache` (nullptr = score uncached) under the
@@ -449,24 +423,19 @@ class DocsSystem : public AssignmentPolicy {
                   const uint64_t* task_epochs, uint64_t generation,
                   std::atomic<bool>* saw_miss);
 
-  /// Shared validation for live submissions and checkpoint replay.
-  [[nodiscard]] Status ValidateAnswer(size_t worker, size_t task, size_t choice) const;
-  /// Absorbs one validated answer: inference update, redundancy counter,
-  /// lease release, golden-phase accounting. Does not trigger the periodic
-  /// re-inference (the caller decides; replay defers to one final run).
-  void AbsorbAnswer(size_t worker, size_t task, size_t choice);
-  /// The inference-side half of AbsorbAnswer (OnAnswer + golden accounting)
-  /// without the redundancy counter or lease release — in async mode those
-  /// already happened at book time on the serving thread. False when the
-  /// engine rejected the answer (unreachable after validation).
-  bool AbsorbAnswerCore(size_t worker, size_t task, size_t choice);
+  /// Registration check + ValidateAnswer + BookAnswer: the admission step
+  /// shared by SubmitAnswer and checkpoint replay.
+  [[nodiscard]] Status AdmitAnswer(size_t worker, size_t task, size_t choice);
+  /// The engine half of ApplyAnswer (OnAnswer + golden accounting) without
+  /// the periodic re-inference (replay defers to one final run). False when
+  /// the engine rejected the answer (unreachable after validation).
+  bool AbsorbAnswer(size_t worker, size_t task, size_t choice);
+  /// Full inference on the shared pool, counted for serving_counters().
+  void Reinfer();
 
-  /// Eligibility reads routed through the submission books in async mode
-  /// (they lead live inference state by the queue depth) and through the
-  /// engine otherwise.
-  const std::vector<size_t>& AnsweredView(size_t worker) const;
-  bool HasAnsweredView(size_t worker, size_t task) const;
-  size_t AnsweredCountView(size_t task) const;
+  /// Eligibility reads over the submission books.
+  const std::vector<size_t>& Booked(size_t worker) const;
+  bool HasBooked(size_t worker, size_t task) const;
   bool AtAnswerCap(size_t task) const;
 
   /// Lease bookkeeping (no-ops while options_.lease_duration == 0).
@@ -486,19 +455,19 @@ class DocsSystem : public AssignmentPolicy {
   std::unique_ptr<IncrementalTruthInference> inference_;
   std::unordered_map<std::string, size_t> worker_index_;
   std::vector<WorkerProfile> workers_;
-  std::vector<size_t> answers_per_task_;
   size_t answers_since_reinfer_ = 0;
   uint64_t lease_clock_ = 0;
   /// (worker << 32 | task) -> logical deadline.
   std::unordered_map<uint64_t, uint64_t> leases_;
   /// Outstanding leases per task (kept in sync with leases_).
   std::vector<uint32_t> lease_count_;
-  /// Async submission books (empty in sync mode): per-worker sorted answered
-  /// task lists and per-task acked-answer counts, updated at ack time on the
-  /// serving thread — they run AHEAD of the engine by the queue depth and
-  /// reproduce the sync-mode eligibility timeline. Facade's assign lock.
-  std::vector<std::vector<size_t>> async_answered_;
-  std::vector<size_t> async_answers_per_task_;
+  /// Submission books: per-worker sorted answered-task lists (grown on a
+  /// worker's first booking) and per-task booked-answer counts, updated at
+  /// ack time. They lead the engine by the inference queue depth (zero
+  /// without one) and are what eligibility, the redundancy cap and duplicate
+  /// detection read. Facade's assign lock.
+  std::vector<std::vector<size_t>> answered_;
+  std::vector<size_t> answers_per_task_;
   std::unique_ptr<ThreadPool> pool_;  // see ScoringPool()
   /// Per-worker rows of the epoch-tagged benefit cache, lazily sized on the
   /// worker's first scoring pass (DESIGN.md §11). Entries self-invalidate by
@@ -519,6 +488,7 @@ class DocsSystem : public AssignmentPolicy {
   std::atomic<uint64_t> benefit_index_pops_{0};
   std::atomic<uint64_t> benefit_index_repairs_{0};
   std::atomic<uint64_t> benefit_index_rebuilds_{0};
+  std::atomic<uint64_t> generation_invalidations_{0};
   /// Serving-path scratch, reused across SelectTasks calls so a warm request
   /// allocates nothing: the eligibility bitmap and the staged quality vector
   /// MakeScoreFn's callables read from.

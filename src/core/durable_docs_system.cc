@@ -147,8 +147,8 @@ Status DurableDocsSystem::RequestTasks(const std::string& worker_id, size_t k,
   }
   // Warm path: a known worker is served through the facade alone — no
   // durable mutex, no WAL I/O. Routing through the facade's own RequestTasks
-  // (not WithLocked + SelectTasks) matters in async mode: the facade serves
-  // a snapshot-servable worker without the state lock, so a running EM pass
+  // (not WithLocked + SelectTasks) matters: the facade serves a
+  // snapshot-servable worker without the state lock, so a running EM pass
   // never blocks this request (DESIGN.md §15).
   if (system_->KnowsWorker(worker_id)) {
     *tasks = system_->RequestTasks(worker_id, k);

@@ -49,7 +49,13 @@ void InferenceService::Publish(
   }
   MutexLock lock(&queue_mutex_);
   ++publishes_;
-  last_publish_time_ = std::chrono::steady_clock::now();
+  const auto now = std::chrono::steady_clock::now();
+  if (publishes_ > 1) {
+    last_publish_gap_us_ =
+        std::chrono::duration<double, std::micro>(now - last_publish_time_)
+            .count();
+  }
+  last_publish_time_ = now;
 }
 
 std::shared_ptr<const InferenceSnapshot> InferenceService::snapshot() const {
@@ -76,16 +82,6 @@ void InferenceService::Drain() {
   while (published_seq_ < target) progress_.Wait(queue_mutex_);
 }
 
-void InferenceService::RequestRepublish() {
-  MutexLock lock(&queue_mutex_);
-  const uint64_t before = publishes_;
-  republish_pending_ = true;
-  not_empty_.NotifyOne();
-  while (publishes_ <= before && started_ && !stop_) {
-    progress_.Wait(queue_mutex_);
-  }
-}
-
 InferenceServiceStats InferenceService::stats() const {
   InferenceServiceStats out;
   {
@@ -108,12 +104,12 @@ void InferenceService::ServiceLoop() {
     batch.clear();
     {
       MutexLock lock(&queue_mutex_);
-      while (queue_head_ >= queue_.size() && !republish_pending_ && !stop_) {
+      while (queue_head_ >= queue_.size() && !stop_) {
         not_empty_.Wait(queue_mutex_);
       }
       // On stop, keep cycling until the queue is empty: every answer acked
       // before the shutdown still reaches the engine.
-      if (queue_head_ >= queue_.size() && !republish_pending_ && stop_) return;
+      if (queue_head_ >= queue_.size()) return;
       const size_t take = std::min(options_.max_batch,
                                    queue_.size() - queue_head_);
       batch.assign(queue_.begin() + static_cast<ptrdiff_t>(queue_head_),
@@ -123,28 +119,17 @@ void InferenceService::ServiceLoop() {
         queue_.clear();
         queue_head_ = 0;
       }
-      republish_pending_ = false;
     }
     not_full_.NotifyAll();
 
     // The apply runs with no service lock held: the owner takes its state
-    // lock inside, producers keep enqueueing, snapshot readers keep serving.
-    std::shared_ptr<const InferenceSnapshot> next = apply_(batch);
-
-    {
-      MutexLock lock(&snapshot_mutex_);
-      snapshot_ = std::move(next);
-    }
+    // lock inside (and publishes under it), producers keep enqueueing,
+    // snapshot readers keep serving.
+    apply_(batch);
     {
       MutexLock lock(&queue_mutex_);
       applied_seq_ += batch.size();
       published_seq_ = applied_seq_;
-      ++publishes_;
-      const auto now = std::chrono::steady_clock::now();
-      last_publish_gap_us_ =
-          std::chrono::duration<double, std::micro>(now - last_publish_time_)
-              .count();
-      last_publish_time_ = now;
     }
     progress_.NotifyAll();
   }

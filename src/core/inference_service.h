@@ -16,9 +16,7 @@ namespace docs::core {
 
 /// Immutable posterior of one task as of a snapshot publish: the normalized
 /// truth matrix M^(i) and the probabilistic truth s_i, copied verbatim from
-/// the live engine. Shared (by shared_ptr) between consecutive snapshots
-/// while the task's inference epoch is unchanged, so a publish copies only
-/// the tasks an apply batch actually moved.
+/// the live engine.
 struct TaskPosteriorSnapshot {
   Matrix truth_matrix;
   std::vector<double> truth;
@@ -27,16 +25,15 @@ struct TaskPosteriorSnapshot {
 /// One worker's serving view as of a publish. `cache_row` points at the
 /// worker's live benefit-cache row — the row's *address* is publish-stable
 /// (rows are never moved or resized once sized; DESIGN.md §15) and access to
-/// its contents stays guarded by the worker's shard stripe, exactly as on
-/// the sync sharded path.
+/// its contents stays guarded by the worker's shard stripe.
 struct WorkerSnapshot {
   std::vector<double> quality;
   /// The worker's inference epoch at publish time; cache entries written by
   /// the snapshot scoring path carry it, so they self-invalidate the moment
   /// a newer snapshot (or the exclusive path) observes a later epoch.
   uint64_t epoch = 0;
-  /// True when the snapshot path may serve this worker: registered, past the
-  /// golden probe, cache row sized (the same gate as CanServeSharded).
+  /// True when the snapshot path may serve this worker: registered and past
+  /// the golden probe (the probe mutates her profile — exclusive-path work).
   bool servable = false;
   std::vector<CachedBenefit>* cache_row = nullptr;
   /// The worker's live benefit index (DESIGN.md §16), published by pointer
@@ -47,8 +44,8 @@ struct WorkerSnapshot {
   BenefitIndex* index = nullptr;
 };
 
-/// An immutable, epoch-tagged picture of the inference state, published by
-/// the background service via shared_ptr swap (RCU-style: readers copy the
+/// An immutable, epoch-tagged picture of the inference state, published via
+/// shared_ptr swap (RCU-style: readers copy the
 /// pointer under a leaf mutex and then read freely; the retiring snapshot
 /// dies when its last reader drops it). Grown out of TruthInference::Run's
 /// buffer-swap rotation: instead of two buffers swapped inside one EM pass,
@@ -67,13 +64,26 @@ struct InferenceSnapshot {
   /// epochs, so both the copy-on-write sharing below and the cache/index
   /// keys on the serving path must compare the generation too.
   uint64_t generation = 0;
-  /// Tasks whose posterior was copied fresh for THIS publish (everything not
-  /// shared from `prev`) — the snapshot edition of the engine's mutation
-  /// log. An index synced to publish epoch-1 repairs exactly these entries
-  /// to reach this epoch; any larger gap means rebuild.
-  std::vector<size_t> changed_tasks;
-  std::vector<std::shared_ptr<const TaskPosteriorSnapshot>> tasks;
+  /// The engine's mutation-log window at publish time (DESIGN.md §16): the
+  /// tasks whose posterior moved at absolute sequence numbers
+  /// [mutation_log_begin, mutation_log_begin + mutation_log.size()). The
+  /// snapshot describes the engine exactly as of the window's end, so an
+  /// index whose cursor lies inside the window — however many publishes
+  /// behind — repairs the tail instead of rebuilding.
+  uint64_t mutation_log_begin = 0;
+  std::vector<size_t> mutation_log;
+  /// Task posteriors in chunks of kTasksPerChunk consecutive tasks. A chunk
+  /// whose task epochs (and the generation) are unchanged is shared with the
+  /// previous snapshot, so a publish copies only the chunks the applied
+  /// answers moved and touches one reference count per chunk, not per task.
+  static constexpr size_t kTasksPerChunk = 64;
+  std::vector<std::shared_ptr<const std::vector<TaskPosteriorSnapshot>>>
+      task_chunks;
   std::vector<std::shared_ptr<const WorkerSnapshot>> workers;
+
+  const TaskPosteriorSnapshot& task(size_t i) const {
+    return (*task_chunks[i / kTasksPerChunk])[i % kTasksPerChunk];
+  }
 };
 
 /// One validated answer awaiting application to the inference engine.
@@ -107,12 +117,14 @@ struct InferenceServiceStats {
   double last_publish_gap_us = 0.0;
 };
 
-/// The background inference thread (DESIGN.md §15): consumes submitted
-/// answers from a bounded MPSC queue, applies them to the owner's engine via
-/// the `apply` callback (which runs retro-updates and the periodic full EM
-/// under the owner's exclusive state lock), and publishes the resulting
-/// InferenceSnapshot. The serving path never waits on the apply: it reads
-/// snapshot() — a leaf-mutex pointer copy — and scores against that.
+/// The snapshot holder and, in async mode, the background inference thread
+/// (DESIGN.md §15). snapshot() is what every post-golden RequestTasks scores
+/// against — a leaf-mutex pointer copy. Once Start()ed, the thread consumes
+/// submitted answers from a bounded MPSC queue and applies them to the
+/// owner's engine via the `apply` callback (which runs retro-updates and the
+/// periodic full EM under the owner's exclusive state lock, then publishes).
+/// Never started (sync mode), it only holds the snapshot the owner
+/// publishes. The serving path never waits on an apply.
 ///
 /// Lock discipline (DESIGN.md §14/§15): queue_mutex_ and snapshot_mutex_ are
 /// leaves of the serving hierarchy. The service thread holds NEITHER while
@@ -121,12 +133,11 @@ struct InferenceServiceStats {
 /// construction and a full queue can never deadlock against a running EM.
 class InferenceService {
  public:
-  /// Applies one FIFO batch to the owner's engine and returns the fresh
-  /// snapshot to publish. Runs exclusively on the service thread; the owner
-  /// acquires its own locks inside. An empty batch must still return a
-  /// snapshot (forced republish after an out-of-band mutation).
-  using ApplyFn = std::function<std::shared_ptr<const InferenceSnapshot>(
-      const std::vector<PendingAnswer>&)>;
+  /// Applies one FIFO batch to the owner's engine and Publish()es the fresh
+  /// snapshot before returning. Runs exclusively on the service thread; the
+  /// owner acquires its own locks inside and publishes under them, so every
+  /// publish — this thread's and the owner's own — is totally ordered.
+  using ApplyFn = std::function<void(const std::vector<PendingAnswer>&)>;
 
   explicit InferenceService(ApplyFn apply, InferenceServiceOptions options = {});
   ~InferenceService();
@@ -143,8 +154,9 @@ class InferenceService {
   /// Stop() may be dropped. Idempotent.
   void Stop();
 
-  /// Installs `snapshot` as the current one (the owner's initial publish,
-  /// made under its own locks before serving starts).
+  /// Installs `snapshot` as the current one. The owner calls it under its
+  /// exclusive state lock (from `apply`, at ingest, on a lazy republish), so
+  /// epochs only grow.
   void Publish(std::shared_ptr<const InferenceSnapshot> snapshot);
 
   /// The current snapshot; never nullptr after the initial Publish(). A leaf
@@ -156,13 +168,9 @@ class InferenceService {
   void Enqueue(const PendingAnswer& answer);
 
   /// Quiesce barrier: returns once every answer enqueued before the call is
-  /// applied AND visible in a published snapshot.
+  /// applied AND visible in a published snapshot. Immediate when nothing was
+  /// ever enqueued (a never-started service).
   void Drain();
-
-  /// Forces an apply/publish cycle (possibly with an empty batch) and waits
-  /// for it — the owner calls this after mutating inference state outside
-  /// the queue (worker reseed, forced full inference).
-  void RequestRepublish();
 
   InferenceServiceStats stats() const;
 
@@ -186,7 +194,6 @@ class InferenceService {
   uint64_t publishes_ DOCS_GUARDED_BY(queue_mutex_) = 0;
   uint64_t enqueue_waits_ DOCS_GUARDED_BY(queue_mutex_) = 0;
   double last_publish_gap_us_ DOCS_GUARDED_BY(queue_mutex_) = 0.0;
-  bool republish_pending_ DOCS_GUARDED_BY(queue_mutex_) = false;
   bool stop_ DOCS_GUARDED_BY(queue_mutex_) = false;
   bool started_ DOCS_GUARDED_BY(queue_mutex_) = false;
   std::chrono::steady_clock::time_point last_publish_time_

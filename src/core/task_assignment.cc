@@ -247,8 +247,8 @@ void BenefitIndex::SiftDown(size_t slot) {
   PlaceAt(slot, entry);
 }
 
-void BenefitIndex::Rebuild(size_t num_tasks, Source source,
-                           uint64_t worker_epoch, uint64_t generation,
+void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
+                           uint64_t generation,
                            uint64_t cursor,
                            const std::vector<size_t>* exclude_sorted,
                            const std::function<double(size_t)>& score,
@@ -275,7 +275,6 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
   }
   // Floyd heapify: bottom-up sift-down, O(n) total.
   for (size_t s = heap_.size() / 2; s-- > 0;) SiftDown(s);
-  source_ = source;
   worker_epoch_tag_ = worker_epoch;
   generation_tag_ = generation;
   cursor_ = cursor;

@@ -126,32 +126,27 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 /// off the heap in O(k log n) instead of scanning and nth_element-ing all n
 /// scores.
 ///
-/// Freshness is tagged, never assumed: the index remembers which source
-/// (live engine / published snapshot), worker epoch and invalidation
-/// generation it was built under, plus a cursor into that source's change
-/// feed (the engine's mutation log, or the snapshot publish
-/// epoch). The owner revalidates the tags before every use — a mismatch
-/// means Rebuild, a cursor gap means targeted Repair of exactly the tasks
-/// the feed names. Instances are NOT thread-safe; the owner serializes
-/// access per worker (DocsSystem: the worker's shard stripe or the exclusive
-/// lock).
+/// Freshness is tagged, never assumed: the index remembers the worker epoch
+/// and invalidation generation it was built under, plus a cursor into the
+/// one change feed — the engine's mutation log, read live or from the window
+/// a published snapshot carries. The owner revalidates the tags before every
+/// use — a mismatch means Rebuild, a cursor gap means targeted Repair of
+/// exactly the tasks the feed names. Instances are NOT thread-safe; the
+/// owner serializes access per worker (DocsSystem: the worker's shard stripe
+/// or the exclusive lock).
 class BenefitIndex {
  public:
-  /// Which state the indexed scores were computed against. Tag mismatch =
-  /// rebuild: scores from different sources are not comparable even when the
-  /// numeric epochs coincide.
-  enum class Source : uint8_t { kNone = 0, kLive, kSnapshot };
-
-  /// True when the index still describes (source, worker_epoch, generation)
-  /// over `num_tasks` tasks and only cursor catch-up may be needed.
-  bool Fresh(Source source, uint64_t worker_epoch, uint64_t generation,
+  /// True when the index still describes (worker_epoch, generation) over
+  /// `num_tasks` tasks and only cursor catch-up may be needed. A never-built
+  /// index carries worker epoch 0, which live epochs (from 1) never match.
+  bool Fresh(uint64_t worker_epoch, uint64_t generation,
              size_t num_tasks) const {
-    return source_ == source && worker_epoch_tag_ == worker_epoch &&
+    return worker_epoch_tag_ == worker_epoch &&
            generation_tag_ == generation && pos_.size() == num_tasks;
   }
 
-  /// Change-feed cursor: the absolute mutation-log sequence (live source) or
-  /// publish epoch (snapshot source) the heap is synced to.
+  /// Change-feed cursor: the absolute mutation-log sequence number the heap
+  /// is synced to.
   uint64_t cursor() const { return cursor_; }
   void set_cursor(uint64_t cursor) { cursor_ = cursor; }
 
@@ -166,7 +161,7 @@ class BenefitIndex {
   /// `score` — fanned out over `pool` when non-null; each slot is
   /// independent, so the heap contents are thread-count invariant — then
   /// heapified bottom-up in O(n).
-  void Rebuild(size_t num_tasks, Source source, uint64_t worker_epoch,
+  void Rebuild(size_t num_tasks, uint64_t worker_epoch,
                uint64_t generation, uint64_t cursor,
                const std::vector<size_t>* exclude_sorted,
                const std::function<double(size_t)>& score, ThreadPool* pool);
@@ -204,7 +199,6 @@ class BenefitIndex {
   std::vector<uint32_t> pos_;
   /// TrySelect's candidate frontier (heap slots), reused across calls.
   std::vector<uint32_t> frontier_;
-  Source source_ = Source::kNone;
   uint64_t worker_epoch_tag_ = 0;
   uint64_t generation_tag_ = 0;
   uint64_t cursor_ = 0;

@@ -233,15 +233,16 @@ GatewayStats CrowdGateway::stats() const {
   }
   out.connections_rejected += connections_rejected_.load();
   out.faults_injected += faults_injected_.load();
-  out.benefit_cache_hits = system_->benefit_cache_hits();
-  out.benefit_cache_misses = system_->benefit_cache_misses();
-  out.benefit_cache_request_hits = system_->benefit_cache_request_hits();
-  out.benefit_cache_request_misses = system_->benefit_cache_request_misses();
-  out.benefit_index_pops = system_->benefit_index_pops();
-  out.benefit_index_repairs = system_->benefit_index_repairs();
-  out.benefit_index_rebuilds = system_->benefit_index_rebuilds();
+  const core::ServingCounters counters = system_->serving_counters();
+  out.benefit_cache_hits = counters.benefit_cache_hits;
+  out.benefit_cache_misses = counters.benefit_cache_misses;
+  out.benefit_cache_request_hits = counters.benefit_cache_request_hits;
+  out.benefit_cache_request_misses = counters.benefit_cache_request_misses;
+  out.benefit_index_pops = counters.benefit_index_pops;
+  out.benefit_index_repairs = counters.benefit_index_repairs;
+  out.benefit_index_rebuilds = counters.benefit_index_rebuilds;
   out.benefit_index_generation_invalidations =
-      system_->benefit_index_generation_invalidations();
+      counters.benefit_index_generation_invalidations;
   if (durable_ != nullptr) {
     const core::DurableStats durable = durable_->stats();
     out.answers_deduped = durable.answers_deduped;

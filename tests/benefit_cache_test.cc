@@ -41,32 +41,33 @@ TEST_F(BenefitCacheTest, InvalidationIsPreciseForUninvolvedWorkers) {
   const auto granted = system.SelectTasks(a, 1);
   ASSERT_EQ(granted.size(), 1u);
   EXPECT_EQ(system.SelectTasks(b, 4), ReferenceTopK(system, b, rule, 4));
-  EXPECT_EQ(system.benefit_cache_misses(), 120u);  // both rows scored cold
+  // Both rows scored cold.
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, 120u);
 
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
-  uint64_t hits = system.benefit_cache_hits();
-  uint64_t misses = system.benefit_cache_misses();
+  uint64_t hits = system.serving_counters().benefit_cache_hits;
+  uint64_t misses = system.serving_counters().benefit_cache_misses;
   EXPECT_EQ(system.ScoreAllTasks(b, /*bypass_cache=*/false),
             ReferenceScores(system, b, rule));
-  EXPECT_EQ(system.benefit_cache_misses() - misses, 1u);
-  EXPECT_EQ(system.benefit_cache_hits() - hits, 59u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - misses, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_hits - hits, 59u);
 
   // b's index catches up off the mutation log: one repair, no rebuild, and
   // the repaired entry was already refreshed by the pass above.
-  const uint64_t rebuilds = system.benefit_index_rebuilds();
-  const uint64_t repairs = system.benefit_index_repairs();
-  misses = system.benefit_cache_misses();
+  const uint64_t rebuilds = system.serving_counters().benefit_index_rebuilds;
+  const uint64_t repairs = system.serving_counters().benefit_index_repairs;
+  misses = system.serving_counters().benefit_cache_misses;
   EXPECT_EQ(system.SelectTasks(b, 4), ReferenceTopK(system, b, rule, 4));
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
-  EXPECT_EQ(system.benefit_index_repairs(), repairs + 1);
-  EXPECT_EQ(system.benefit_cache_misses(), misses);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds);
+  EXPECT_EQ(system.serving_counters().benefit_index_repairs, repairs + 1);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, misses);
 
   // a's own row is fully stale: all 60 entries rescore.
-  hits = system.benefit_cache_hits();
+  hits = system.serving_counters().benefit_cache_hits;
   EXPECT_EQ(system.ScoreAllTasks(a, /*bypass_cache=*/false),
             ReferenceScores(system, a, rule));
-  EXPECT_EQ(system.benefit_cache_misses() - misses, 60u);
-  EXPECT_EQ(system.benefit_cache_hits(), hits);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - misses, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_hits, hits);
 }
 
 /// All four rules route through the cache and the index: on a quiet system
@@ -85,23 +86,25 @@ TEST_F(BenefitCacheTest, WarmRequestsKeepHittingUnderEveryRule) {
 
     const auto reference = ReferenceScores(system, w, rule);
     EXPECT_EQ(system.ScoreAllTasks(w, /*bypass_cache=*/false), reference);
-    EXPECT_EQ(system.benefit_cache_misses(), 40u);
+    EXPECT_EQ(system.serving_counters().benefit_cache_misses, 40u);
     for (int repeat = 0; repeat < 3; ++repeat) {
       EXPECT_EQ(system.ScoreAllTasks(w, /*bypass_cache=*/false), reference);
     }
-    EXPECT_EQ(system.benefit_cache_misses(), 40u);
-    EXPECT_EQ(system.benefit_cache_hits(), 3u * 40u);
+    EXPECT_EQ(system.serving_counters().benefit_cache_misses, 40u);
+    EXPECT_EQ(system.serving_counters().benefit_cache_hits, 3u * 40u);
 
     const auto first = system.SelectTasks(w, 5);
     EXPECT_EQ(first, ReferenceTopK(system, w, rule, 5));
-    const uint64_t rebuilds = system.benefit_index_rebuilds();
-    const uint64_t request_hits = system.benefit_cache_request_hits();
+    const uint64_t rebuilds = system.serving_counters().benefit_index_rebuilds;
+    const uint64_t request_hits =
+        system.serving_counters().benefit_cache_request_hits;
     for (int repeat = 0; repeat < 3; ++repeat) {
       EXPECT_EQ(system.SelectTasks(w, 5), first);
     }
-    EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
-    EXPECT_EQ(system.benefit_cache_misses(), 40u);
-    EXPECT_EQ(system.benefit_cache_request_hits(), request_hits + 3);
+    EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds);
+    EXPECT_EQ(system.serving_counters().benefit_cache_misses, 40u);
+    EXPECT_EQ(system.serving_counters().benefit_cache_request_hits,
+              request_hits + 3);
   }
 }
 
@@ -116,17 +119,17 @@ TEST_F(BenefitCacheTest, RequestCountersTallyServingPassesNotRowLookups) {
   // Cold pass: the index rebuild scores all 60 tasks — ONE request miss.
   const size_t b = system.WorkerIndex("b");
   (void)system.SelectTasks(b, 4);
-  EXPECT_EQ(system.benefit_cache_misses(), 60u);
-  EXPECT_EQ(system.benefit_cache_request_misses(), 1u);
-  EXPECT_EQ(system.benefit_cache_request_hits(), 0u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_misses, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits, 0u);
 
   // Quiet repeat: served off the fresh heap without a single row lookup —
   // ONE request hit.
   (void)system.SelectTasks(b, 4);
-  EXPECT_EQ(system.benefit_cache_hits(), 0u);
-  EXPECT_EQ(system.benefit_cache_misses(), 60u);
-  EXPECT_EQ(system.benefit_cache_request_hits(), 1u);
-  EXPECT_EQ(system.benefit_cache_request_misses(), 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_hits, 0u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_misses, 1u);
 
   // Another worker's answer stales one of b's entries: her next pass
   // repairs and rescores that one task, so it is a request MISS although
@@ -135,20 +138,23 @@ TEST_F(BenefitCacheTest, RequestCountersTallyServingPassesNotRowLookups) {
   const auto granted = system.SelectTasks(a, 1);
   ASSERT_EQ(granted.size(), 1u);
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
-  const uint64_t request_hits = system.benefit_cache_request_hits();
-  const uint64_t request_misses = system.benefit_cache_request_misses();
-  const uint64_t row_misses = system.benefit_cache_misses();
+  const uint64_t request_hits =
+      system.serving_counters().benefit_cache_request_hits;
+  const uint64_t request_misses =
+      system.serving_counters().benefit_cache_request_misses;
+  const uint64_t row_misses = system.serving_counters().benefit_cache_misses;
   (void)system.SelectTasks(b, 4);
-  EXPECT_EQ(system.benefit_cache_misses() - row_misses, 1u);
-  EXPECT_EQ(system.benefit_cache_request_misses(), request_misses + 1);
-  EXPECT_EQ(system.benefit_cache_request_hits(), request_hits);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - row_misses, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_misses,
+            request_misses + 1);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits, request_hits);
 
   // ScoreAllTasks is not a serving pass: row counters move (it walks every
   // entry) but the request tally does not.
   const uint64_t tally = RequestTally(system);
-  const uint64_t row_hits = system.benefit_cache_hits();
+  const uint64_t row_hits = system.serving_counters().benefit_cache_hits;
   (void)system.ScoreAllTasks(b, /*bypass_cache=*/false);
-  EXPECT_EQ(system.benefit_cache_hits() - row_hits, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_hits - row_hits, 60u);
   EXPECT_EQ(RequestTally(system), tally);
 }
 

@@ -4,9 +4,10 @@
 // These tests pin how each mutation class reaches it: the periodic full
 // re-inference stales every index with ONE generation bump, lease expiry
 // stales nothing, an uninvolved worker's index repairs from the engine's
-// mutation log, a worker-epoch bump rebuilds, and redundancy-cap churn that
-// exhausts the walk's budget falls back to the scan. Every selection is
-// checked against the test-side oracle of ranking_oracle.h. scripts/ci.sh
+// mutation log (live, or the window a snapshot carries), a worker-epoch
+// bump rebuilds, and redundancy-cap churn that exhausts the walk's budget
+// falls back to the scan. Every selection is checked against the test-side
+// oracle of ranking_oracle.h. scripts/ci.sh
 // runs this binary under DOCS_DEBUG_CHECKS (the O(n) heap audit).
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/concurrent_docs_system.h"
 #include "core/docs_system.h"
 #include "datasets/dataset.h"
 #include "ranking_oracle.h"
@@ -51,11 +53,12 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   ASSERT_EQ(first.size(), 2u);
   ASSERT_TRUE(system.SubmitAnswer(w, first[0], 0).ok());
   (void)step(2);
-  const uint64_t rebuilds_warm = system.benefit_index_rebuilds();
-  const uint64_t pops_warm = system.benefit_index_pops();
+  const uint64_t rebuilds_warm =
+      system.serving_counters().benefit_index_rebuilds;
+  const uint64_t pops_warm = system.serving_counters().benefit_index_pops;
   (void)step(2);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_warm);
-  EXPECT_GT(system.benefit_index_pops(), pops_warm);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds_warm);
+  EXPECT_GT(system.serving_counters().benefit_index_pops, pops_warm);
 
   // The invalidation itself: one generation bump, zero epoch movement, and
   // the mutation log resets (nothing to replay across a generation change).
@@ -63,10 +66,10 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const uint64_t worker_epoch_before = system.inference().worker_epoch(w);
   const uint64_t generation_before = system.inference().generation();
   const uint64_t invalidations_before =
-      system.benefit_index_generation_invalidations();
+      system.serving_counters().benefit_index_generation_invalidations;
   system.RunFullInference();
   EXPECT_EQ(system.inference().generation(), generation_before + 1);
-  EXPECT_EQ(system.benefit_index_generation_invalidations(),
+  EXPECT_EQ(system.serving_counters().benefit_index_generation_invalidations,
             invalidations_before + 1);
   EXPECT_EQ(system.inference().task_epochs(), task_epochs_before);
   EXPECT_EQ(system.inference().worker_epoch(w), worker_epoch_before);
@@ -75,11 +78,14 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
 
   // The stale index is detected by the generation tag alone: exactly one
   // rebuild, still on the oracle, and quiet repeats are warm again.
-  const uint64_t rebuilds_before = system.benefit_index_rebuilds();
+  const uint64_t rebuilds_before =
+      system.serving_counters().benefit_index_rebuilds;
   (void)step(2);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds,
+            rebuilds_before + 1);
   (void)step(2);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds,
+            rebuilds_before + 1);
 }
 
 /// Lease expiry invalidates nothing: benefit scores do not depend on
@@ -114,13 +120,15 @@ TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
   // The sweep moved no epochs and no generation: w's next pass is served
   // off the still-fresh heap (no rebuild, no repair) and re-grants exactly
   // the tasks the expiry returned to the pool.
-  const uint64_t rebuilds_before = system.benefit_index_rebuilds();
-  const uint64_t repairs_before = system.benefit_index_repairs();
-  const uint64_t pops_before = system.benefit_index_pops();
+  const uint64_t rebuilds_before =
+      system.serving_counters().benefit_index_rebuilds;
+  const uint64_t repairs_before =
+      system.serving_counters().benefit_index_repairs;
+  const uint64_t pops_before = system.serving_counters().benefit_index_pops;
   EXPECT_EQ(system.SelectTasks(w, 2), first);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
-  EXPECT_EQ(system.benefit_index_repairs(), repairs_before);
-  EXPECT_GT(system.benefit_index_pops(), pops_before);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds_before);
+  EXPECT_EQ(system.serving_counters().benefit_index_repairs, repairs_before);
+  EXPECT_GT(system.serving_counters().benefit_index_pops, pops_before);
 }
 
 /// The mutation-log repair path: a submission by worker A bumps the epoch of
@@ -152,15 +160,18 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
 
   // b is uninvolved: her worker epoch did not move, so her index repairs
   // the logged tasks in place instead of rebuilding.
-  const uint64_t rebuilds_before = system.benefit_index_rebuilds();
-  const uint64_t repairs_before = system.benefit_index_repairs();
+  const uint64_t rebuilds_before =
+      system.serving_counters().benefit_index_rebuilds;
+  const uint64_t repairs_before =
+      system.serving_counters().benefit_index_repairs;
   (void)step(b, 4);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
-  EXPECT_GT(system.benefit_index_repairs(), repairs_before);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds_before);
+  EXPECT_GT(system.serving_counters().benefit_index_repairs, repairs_before);
 
   // a answered, so her quality (worker epoch) moved: full rebuild.
   (void)step(a, 4);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds,
+            rebuilds_before + 1);
 
   // A mid-campaign reseed is the other worker-epoch bump: rebuild too.
   const size_t m = kb_->knowledge_base.num_domains();
@@ -170,9 +181,48 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   record.weight.assign(m, 3.0);
   ASSERT_TRUE(store.Put("b", record).ok());
   ASSERT_TRUE(system.LoadWorker("b", store).ok());
-  const uint64_t rebuilds_mid = system.benefit_index_rebuilds();
+  const uint64_t rebuilds_mid =
+      system.serving_counters().benefit_index_rebuilds;
   (void)step(b, 4);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_mid + 1);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds_mid + 1);
+}
+
+/// The snapshot path reads the same change feed (DESIGN.md §16): every
+/// publish carries the engine's mutation-log window, so an uninvolved
+/// worker's index any number of publishes behind repairs the logged tasks
+/// instead of rebuilding — and still serves the oracle's ranking.
+TEST_F(BenefitIndexTest, SnapshotIndexRepairsAcrossSeveralPublishes) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
+  DocsSystemOptions options = QuietOptions();
+  options.async_inference = true;
+  ConcurrentDocsSystem facade(&kb_->knowledge_base, options);
+  ASSERT_TRUE(facade.AddTasks(Inputs(dataset)).ok());
+
+  // a and b register on the cold path; b's second request is served off a
+  // snapshot, which leaves her index synced to it.
+  const auto granted = facade.RequestTasks("a", 3);
+  ASSERT_EQ(granted.size(), 3u);
+  (void)facade.RequestTasks("b", 4);
+  (void)facade.RequestTasks("b", 4);
+
+  // Two publishes land before b returns: one drained answer of a's each.
+  const uint64_t epoch_before = facade.async_stats().service.snapshot_epoch;
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(facade.SubmitAnswer("a", granted[i], 0).ok());
+    facade.Drain();
+  }
+  ASSERT_GE(facade.async_stats().service.snapshot_epoch, epoch_before + 2);
+
+  const ServingCounters before = facade.serving_counters();
+  const auto selected = facade.RequestTasks("b", 4);
+  const ServingCounters after = facade.serving_counters();
+  EXPECT_EQ(after.benefit_index_rebuilds, before.benefit_index_rebuilds);
+  EXPECT_GT(after.benefit_index_repairs, before.benefit_index_repairs);
+  const auto expected = facade.WithLocked([](DocsSystem& system) {
+    return ReferenceTopK(system, *system.FindWorker("b"),
+                         SelectionRule::kBenefit, 4);
+  });
+  EXPECT_EQ(selected, expected);
 }
 
 /// Budget exhaustion under cap churn: when enough of the heap's top entries
@@ -217,14 +267,17 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   // exceeds the k=1 walk budget (64 visits) — the pass falls back to the
   // scan without rebuilding the still-fresh index, and still matches the
   // oracle bit for bit.
-  const uint64_t rebuilds_before = system.benefit_index_rebuilds();
+  const uint64_t rebuilds_before =
+      system.serving_counters().benefit_index_rebuilds;
+  ServingCounters counters = system.serving_counters();
   const uint64_t row_traffic_before =
-      system.benefit_cache_hits() + system.benefit_cache_misses();
+      counters.benefit_cache_hits + counters.benefit_cache_misses;
   const auto fallback = step("w", 1);
   ASSERT_EQ(fallback.size(), 1u);
   EXPECT_NE(fallback, top);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
-  EXPECT_GT(system.benefit_cache_hits() + system.benefit_cache_misses(),
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds_before);
+  counters = system.serving_counters();
+  EXPECT_GT(counters.benefit_cache_hits + counters.benefit_cache_misses,
             row_traffic_before);
 }
 

@@ -230,9 +230,9 @@ TEST_F(ConcurrencyTest, ExpireLeasesRacesServingCalls) {
 
 TEST_F(ConcurrencyTest, ShardedServingPathHammeredByRequestersAndMutators) {
   // Targets the sharded RequestTasks fast path (DESIGN.md §13): workers are
-  // first primed past the golden phase sequentially so CanServeSharded
-  // holds for every one of them, then many requester threads score
-  // concurrently under shared state locks — including worker pairs that
+  // first primed past the golden phase sequentially so the snapshot path
+  // can serve every one of them, then many requester threads score
+  // concurrently without the state lock — including worker pairs that
   // collide on the same shard stripe — while answers, periodic full
   // re-inference (reinfer_every), lease sweeps, and checkpoints interleave.
   auto dataset = datasets::MakeItemDataset(*kb_);
@@ -259,8 +259,8 @@ TEST_F(ConcurrencyTest, ShardedServingPathHammeredByRequestersAndMutators) {
     ids.push_back("shard" + std::to_string(w));
   }
 
-  // Sequential priming: two 4-task rounds put every worker past golden and
-  // size its benefit-cache row, making the sharded fast path reachable.
+  // Sequential priming: two 4-task rounds put every worker past golden,
+  // making the sharded fast path reachable.
   std::atomic<size_t> answers{0};
   for (const auto& id : ids) {
     for (int round = 0; round < 2; ++round) {
@@ -275,7 +275,7 @@ TEST_F(ConcurrencyTest, ShardedServingPathHammeredByRequestersAndMutators) {
   system.WithLocked([&](DocsSystem& inner) {
     for (const auto& id : ids) {
       const auto worker = inner.FindWorker(id);
-      EXPECT_TRUE(worker.has_value() && inner.CanServeSharded(*worker))
+      EXPECT_TRUE(worker.has_value() && inner.golden_done(*worker))
           << id << " not primed for the sharded path";
     }
     return 0;

@@ -119,9 +119,9 @@ TEST_F(DocsSystemTest, ZeroSizedRequestGrantsNothingInEveryPhase) {
   }
   EXPECT_TRUE(system.SelectTasks(worker, 0).empty());
   EXPECT_EQ(system.outstanding_leases(), 0u);
-  EXPECT_EQ(system.benefit_index_rebuilds(), 0u);
-  EXPECT_EQ(system.benefit_cache_request_hits() +
-                system.benefit_cache_request_misses(),
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, 0u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits +
+                system.serving_counters().benefit_cache_request_misses,
             0u);
   EXPECT_EQ(system.SelectTasks(worker, 3).size(), 3u);
 }

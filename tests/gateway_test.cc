@@ -242,8 +242,8 @@ TEST_F(GatewayTest, ZeroSizedRequestRoundTripsEmptyInEveryPhase) {
     EXPECT_TRUE(hit.empty());
     EXPECT_EQ(serving.system->outstanding_leases(), 0u);
 
-    // OTA phase, served off the sharded (sync) or snapshot (async) path
-    // once the first OTA request has sized the worker's rows.
+    // OTA phase, served off the snapshot path once a publish has made the
+    // worker servable.
     ASSERT_TRUE(conn.RequestTasks("w0", 5, &hit).ok());
     ASSERT_EQ(hit.size(), 5u);
     for (uint64_t task : hit) {
@@ -663,6 +663,61 @@ TEST_F(GatewayTest, AsyncLeaseSweepRacesPublishesCleanly) {
   EXPECT_GE(gateway_stats.async_publishes, 1u);
   EXPECT_EQ(gateway_stats.async_answers_pending, 0u);
   EXPECT_GE(gateway_stats.async_last_sweep_epoch, 1u);
+}
+
+/// stats() reads the facade's serving counters lock-free: a monitoring poll
+/// returns while the inference thread is parked inside an apply batch that
+/// holds the state lock exclusively (standing in for a long EM pass).
+TEST_F(GatewayTest, StatsDoesNotWaitOnAnApplyBatch) {
+  core::DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.num_threads = 1;
+  options.async_inference = true;
+  const datasets::Dataset dataset = datasets::MakeItemDataset(*kb_);
+  core::ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+  std::atomic<bool> gate{false};
+  std::atomic<bool> parked{false};
+  system.SetAsyncApplyHookForTest([&](const core::PendingAnswer&) {
+    if (!gate.load(std::memory_order_acquire)) return;
+    parked.store(true, std::memory_order_release);
+    while (gate.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+  });
+  std::vector<core::TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  CrowdGateway gateway(&system, CrowdGatewayOptions{});
+  ASSERT_TRUE(gateway.Start().ok());
+
+  const auto hit = system.RequestTasks("w", 1);
+  ASSERT_EQ(hit.size(), 1u);
+  gate.store(true, std::memory_order_release);
+  ASSERT_TRUE(system.SubmitAnswer("w", hit[0], 0).ok());
+  while (!parked.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+
+  std::atomic<bool> returned{false};
+  std::thread poller([&] {
+    (void)gateway.stats();
+    returned.store(true, std::memory_order_release);
+  });
+  const auto deadline = steady_clock::now() + milliseconds(5000);
+  while (!returned.load(std::memory_order_acquire) &&
+         steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_TRUE(returned.load(std::memory_order_acquire))
+      << "stats() waited on the parked apply batch";
+  gate.store(false, std::memory_order_release);
+  poller.join();
+  system.Drain();
+  EXPECT_EQ(system.num_answers(), 1u);
+  gateway.Stop();
 }
 
 TEST_F(GatewayTest, GracefulShutdownClosesClientsCleanly) {

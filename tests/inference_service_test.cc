@@ -174,6 +174,61 @@ TEST_F(InferenceServiceTest, DrainedAsyncIsBitIdenticalToSyncAcrossRulesAndThrea
   }
 }
 
+/// A worker who answers her last golden task and re-requests at once —
+/// before the service thread has applied the golden answers — must still
+/// get her golden quality seed. The re-request sees every golden task booked
+/// and none applied; it must leave the golden phase open, so the queued
+/// answers still reach FinishGoldenPhase when they are applied. The race is
+/// won by the re-request whenever it beats the service thread's wake-up,
+/// which is why the sequence repeats: the drained async state must equal
+/// sync bit for bit in every trial.
+TEST_F(InferenceServiceTest, GoldenSeedSurvivesAReRequestBeforeTheApply) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 200, 29);
+  const auto truths = dataset.Truths();
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  DocsSystemOptions options;
+  options.golden_count = 4;
+  options.reinfer_every = 0;
+  options.num_threads = 1;
+  DocsSystemOptions async_options = options;
+  async_options.async_inference = true;
+
+  for (size_t trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ConcurrentDocsSystem sync_system(&kb_->knowledge_base, options);
+    ConcurrentDocsSystem async_system(&kb_->knowledge_base, async_options);
+    ASSERT_TRUE(sync_system.AddTasks(inputs, &truths).ok());
+    ASSERT_TRUE(async_system.AddTasks(inputs, &truths).ok());
+
+    const auto golden = sync_system.RequestTasks("w", 4);
+    ASSERT_EQ(golden.size(), 4u);
+    ASSERT_EQ(async_system.RequestTasks("w", 4), golden);
+    for (size_t g = 0; g < golden.size(); ++g) {
+      // Mixed right and wrong answers give the seed a non-default shape.
+      const size_t choice = (trial + g) % 2 == 0 ? truths[golden[g]] : 0;
+      ASSERT_TRUE(sync_system.SubmitAnswer("w", golden[g], choice).ok());
+      ASSERT_TRUE(async_system.SubmitAnswer("w", golden[g], choice).ok());
+    }
+    EXPECT_FALSE(async_system.RequestTasks("w", 4).empty());
+    EXPECT_FALSE(sync_system.RequestTasks("w", 4).empty());
+
+    async_system.Drain();
+    EXPECT_EQ(async_system.InferredChoices(), sync_system.InferredChoices());
+    const auto quality_of = [](ConcurrentDocsSystem& system) {
+      return system.WithLocked([](DocsSystem& inner) {
+        return inner.inference().worker_quality(*inner.FindWorker("w"));
+      });
+    };
+    const WorkerQuality sync_quality = quality_of(sync_system);
+    const WorkerQuality async_quality = quality_of(async_system);
+    ASSERT_EQ(async_quality.quality, sync_quality.quality);
+    ASSERT_EQ(async_quality.weight, sync_quality.weight);
+  }
+}
+
 /// SubmitAnswer acks synchronously with the same status codes and messages
 /// as sync mode — the wire contract must not change with the execution
 /// model, and a duplicate must be caught at ack time from the submission

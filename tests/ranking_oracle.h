@@ -90,8 +90,8 @@ inline std::vector<size_t> ReferenceTopK(
 }
 
 inline uint64_t RequestTally(const DocsSystem& system) {
-  return system.benefit_cache_request_hits() +
-         system.benefit_cache_request_misses();
+  return system.serving_counters().benefit_cache_request_hits +
+         system.serving_counters().benefit_cache_request_misses;
 }
 
 /// Shares one synthetic KB across a suite's tests.

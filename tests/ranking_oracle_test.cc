@@ -1,8 +1,8 @@
 // Lockstep oracle for OTA ranking (DESIGN.md §11, §16).
 //
 // Every serving path must match the test-side oracle of ranking_oracle.h
-// BITWISE: the exclusive DocsSystem::SelectTasks, the sharded sync facade,
-// the drained async facade (snapshot serving), and gateways at 1/2/4
+// BITWISE: the exclusive DocsSystem::SelectTasks, the sync facade (snapshot
+// serving at staleness 0), the drained async facade, and gateways at 1/2/4
 // reactors. The campaigns hit every mutation class the cache and index must
 // survive: answers with the §4.2 retro fan-out, abandoned grants reclaimed by
 // ExpireLeases, the periodic full re-inference (one generation bump), and
@@ -64,7 +64,7 @@ bool PastGolden(const DocsSystem& system, size_t worker, bool seeded) {
 class RankingOracleTest : public oracle::OracleFixture {};
 
 /// The in-process lockstep: a bare DocsSystem (exclusive path), a sync
-/// facade (sharded path) and a drained async facade (snapshot path) serve
+/// facade and a drained async facade (both on the snapshot path) serve
 /// one scripted campaign, and every post-golden selection must equal the
 /// oracle's. The script submits answers shared across workers (retro
 /// fan-out), abandons grants for ExpireLeases to reclaim, re-infers every
@@ -196,15 +196,16 @@ TEST_F(RankingOracleTest, ServingPathsMatchTheReferenceAcrossRulesAndThreads) {
         }
       }
 
-      // The index served on every path — live (exclusive and sharded) and
-      // snapshot — and the periodic full inference registered as O(1)
-      // generation invalidations.
-      EXPECT_GT(system.benefit_index_pops(), 0u);
-      EXPECT_GT(system.benefit_index_rebuilds(), 0u);
-      EXPECT_GT(system.benefit_index_generation_invalidations(), 0u);
-      EXPECT_GT(sync_facade.benefit_index_pops(), 0u);
-      EXPECT_GT(async_facade.benefit_index_pops(), 0u);
-      EXPECT_GT(async_facade.benefit_index_rebuilds(), 0u);
+      // The index served on every path — live (exclusive) and snapshot —
+      // and the periodic full inference registered as O(1) generation
+      // invalidations.
+      const ServingCounters counters = system.serving_counters();
+      EXPECT_GT(counters.benefit_index_pops, 0u);
+      EXPECT_GT(counters.benefit_index_rebuilds, 0u);
+      EXPECT_GT(counters.benefit_index_generation_invalidations, 0u);
+      EXPECT_GT(sync_facade.serving_counters().benefit_index_pops, 0u);
+      EXPECT_GT(async_facade.serving_counters().benefit_index_pops, 0u);
+      EXPECT_GT(async_facade.serving_counters().benefit_index_rebuilds, 0u);
     }
   }
 }

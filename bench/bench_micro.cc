@@ -1,12 +1,17 @@
 // google-benchmark micro-benchmarks of the hot kernels behind the paper's
 // complexity claims: Algorithm 1 (DVE), the TI step, the OTA benefit
-// computation, golden-count approximation and the worker store.
+// computation, golden-count approximation, the worker store and the
+// durable layer's dedup-window memory.
 
 #include <benchmark/benchmark.h>
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <string>
@@ -14,8 +19,10 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/concurrent_docs_system.h"
 #include "core/docs_system.h"
 #include "core/domain_vector.h"
+#include "core/durable_docs_system.h"
 #include "core/golden_selection.h"
 #include "core/incremental_ti.h"
 #include "core/task_assignment.h"
@@ -31,21 +38,38 @@
 // here). Scalar and array forms share one counter; the sized/aligned delete
 // variants all forward to free() as malloc-backed storage requires.
 
+// The forwarders also keep live and high-water byte counts (by
+// malloc_usable_size) for BM_DedupWindowBytes' checkpoint peak.
+
 namespace {
 std::atomic<uint64_t> g_heap_allocations{0};
+std::atomic<int64_t> g_heap_live_bytes{0};
+std::atomic<int64_t> g_heap_peak_bytes{0};
+
+void* CountedMalloc(std::size_t size) {
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live =
+      g_heap_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  int64_t peak = g_heap_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_heap_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  g_heap_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                              std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return CountedMalloc(size); }
+void* operator new[](std::size_t size) { return CountedMalloc(size); }
 
 // GCC's -Wmismatched-new-delete cannot see through the replaced operators at
 // -O2: it pairs the opaque `operator new` call at an inlined delete site with
@@ -56,10 +80,10 @@ void* operator new[](std::size_t size) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -69,6 +93,19 @@ namespace {
 
 uint64_t HeapAllocations() {
   return g_heap_allocations.load(std::memory_order_relaxed);
+}
+
+int64_t HeapLiveBytes() {
+  return g_heap_live_bytes.load(std::memory_order_relaxed);
+}
+
+int64_t HeapPeakBytes() {
+  return g_heap_peak_bytes.load(std::memory_order_relaxed);
+}
+
+/// Restarts the high-water mark from the current live bytes.
+void ResetHeapPeak() {
+  g_heap_peak_bytes.store(HeapLiveBytes(), std::memory_order_relaxed);
 }
 
 std::vector<core::EntityObservation> RandomEntities(size_t num_entities,
@@ -130,24 +167,38 @@ void BM_TiTruthMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_TiTruthMatrix)->Arg(5)->Arg(10)->Arg(20);
 
-// Full iterative TI on n tasks with 10 answers each, m = 20. The second
-// argument is the thread count of the EM sweep (1 = the sequential loops);
-// results are bit-identical across the sweep, only the time moves.
+// Full iterative TI, all 20 iterations (tolerance 0), on one of two input
+// shapes (third argument):
+//   serving = 0: n tasks with 10 answers each from 100 workers, m = 20, l = 2;
+//   serving = 1: the qa-async-durable shape — m = 26, l in {2, 3}, 4 answers
+//                per task from 60 workers — at n = 1k/10k/100k: the EM-pass
+//                row of the ROADMAP ledger.
+// The second argument is the thread count of the EM sweep (1 = the
+// sequential loops); results are bit-identical across the sweep, only the
+// time moves.
 void BM_TiFullRun(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const size_t m = 20;
-  const size_t num_workers = 100;
+  const bool serving = state.range(2) != 0;
+  const size_t m = serving ? 26 : 20;
+  const size_t num_workers = serving ? 60 : 100;
+  const size_t answers_per_task = serving ? 4 : 10;
   Rng rng(13);
   std::vector<core::Task> tasks(n);
   for (auto& task : tasks) {
-    task.domain_vector.assign(m, 0.0);
-    task.domain_vector[rng.UniformInt(m)] = 1.0;
-    task.num_choices = 2;
+    if (serving) {
+      task.domain_vector = rng.Dirichlet(m, 0.3);
+      task.num_choices = 2 + rng.UniformInt(2);
+    } else {
+      task.domain_vector.assign(m, 0.0);
+      task.domain_vector[rng.UniformInt(m)] = 1.0;
+      task.num_choices = 2;
+    }
   }
   std::vector<core::Answer> answers;
   for (size_t i = 0; i < n; ++i) {
-    for (size_t a = 0; a < 10; ++a) {
-      answers.push_back({i, (i * 3 + a) % num_workers, rng.UniformInt(2)});
+    for (size_t a = 0; a < answers_per_task; ++a) {
+      answers.push_back({i, (i * 3 + a) % num_workers,
+                         rng.UniformInt(tasks[i].num_choices)});
     }
   }
   core::TruthInferenceOptions options;
@@ -160,8 +211,9 @@ void BM_TiFullRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TiFullRun)
-    ->ArgsProduct({{100, 1000}, {1, 2, 4, 8}})
-    ->ArgNames({"n", "threads"})
+    ->ArgsProduct({{100, 1000}, {1, 2, 4, 8}, {0}})
+    ->ArgsProduct({{1000, 10000, 100000}, {1, 2}, {1}})
+    ->ArgNames({"n", "threads", "serving"})
     ->Unit(benchmark::kMillisecond);
 
 // OTA top-k selection over n candidate tasks, m = 26, scored on `threads`
@@ -414,6 +466,71 @@ void BM_ServeRequestTasksColdFused(benchmark::State& state) {
   ServeRequestTasksColdLoop(state, &scratch);
 }
 BENCHMARK(BM_ServeRequestTasksColdFused);
+
+// Heap bytes per dedup-window entry of DurableDocsSystem (DESIGN.md §12) at
+// dedup_window = n. The window is filled with n rejected submits (60
+// unregistered ids, client-style 64-bit request ids), so the facade itself
+// allocates nothing that stays; one checkpoint then turns the WAL into the
+// carried window, and every timed iteration is one more checkpoint.
+//   resident_B/entry — mallinfo2 in-use bytes with the window full, less
+//                      those before the fill, per entry;
+//   peak_B/entry     — the high-water mark of live operator-new bytes during
+//                      the timed checkpoints, less the pre-fill live bytes,
+//                      per entry: the checkpoint peak that bounds RSS.
+// The recorded code is INVALID_ARGUMENT, whose name is 14 B longer than OK's
+// in each `dedup` payload, so both figures overstate an all-OK window by up
+// to 28 B per entry.
+void BM_DedupWindowBytes(benchmark::State& state) {
+  const size_t window = static_cast<size_t>(state.range(0));
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("docs_bench_dedup_" + std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  core::DocsSystemOptions system_options;
+  system_options.golden_count = 0;
+  auto facade = std::make_unique<core::ConcurrentDocsSystem>(
+      &ServingKb().knowledge_base, system_options);
+  std::vector<core::TaskInput> inputs;  // a checkpoint needs a campaign
+  for (const auto& task : datasets::MakeQaDataset(ServingKb(), 16).tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  DOCS_CHECK(facade->AddTasks(inputs).ok());
+  core::DurableOptions options;
+  options.dir = dir;
+  options.dedup_window = window;
+  core::DurableDocsSystem durable(facade.get(), options);
+  DOCS_CHECK(durable.Recover().ok());
+  std::vector<std::string> workers;
+  for (size_t w = 0; w < 60; ++w) workers.push_back("w" + std::to_string(w));
+
+  const size_t resident_before = mallinfo2().uordblks;
+  const int64_t live_before = HeapLiveBytes();
+  const uint64_t request_base = (0x9e3779b9ULL | 1) << 32;
+  for (size_t i = 0; i < window; ++i) {
+    DOCS_CHECK(!durable.SubmitAnswer(workers[i % workers.size()], 0, 0,
+                                     request_base + i + 1)
+                    .ok());
+  }
+  DOCS_CHECK(durable.Checkpoint().ok());  // WAL = the carried window
+  const size_t resident_after = mallinfo2().uordblks;
+  ResetHeapPeak();
+  for (auto _ : state) {
+    DOCS_CHECK(durable.Checkpoint().ok());
+  }
+  const double entries = static_cast<double>(window);
+  state.counters["resident_B/entry"] =
+      (static_cast<double>(resident_after) -
+       static_cast<double>(resident_before)) /
+      entries;
+  state.counters["peak_B/entry"] =
+      static_cast<double>(HeapPeakBytes() - live_before) / entries;
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_DedupWindowBytes)
+    ->Arg(1 << 16)
+    ->ArgName("window")
+    ->Unit(benchmark::kMillisecond);
 
 // WorkerStore in-memory put+merge throughput.
 void BM_WorkerStoreMerge(benchmark::State& state) {

@@ -97,8 +97,9 @@ Status DurableDocsSystem::SubmitAnswer(const std::string& worker_id,
   if (wal_ == nullptr) {
     return FailedPreconditionError("DurableDocsSystem not recovered");
   }
-  if (request_id != 0) {
-    auto hit = window_index_.find(DedupKey(worker_id, request_id));
+  const auto worker = window_workers_.find(worker_id);
+  if (request_id != 0 && worker != window_workers_.end()) {
+    auto hit = window_index_.find({&*worker, request_id});
     if (hit != window_index_.end()) {
       answers_deduped_.fetch_add(1, std::memory_order_relaxed);
       if (hit->second == StatusCode::kOk) return OkStatus();
@@ -187,18 +188,15 @@ Status DurableDocsSystem::CheckpointLocked() {
   if (!saved.ok()) return saved;
   // Carry the dedup window across the truncation: answers before the
   // checkpoint are now owned by the checkpoint file, but their request_ids
-  // must keep deduping in-flight retries.
-  std::vector<storage::AnswerWal::Record> carry;
-  carry.reserve(window_.size());
-  for (const DedupEntry& entry : window_) {
-    storage::AnswerWal::Record record;
-    record.kind = storage::AnswerWal::Record::Kind::kDedup;
-    record.worker_id = entry.worker_id;
-    record.request_id = entry.request_id;
-    record.code = entry.code;
-    carry.push_back(std::move(record));
-  }
-  Status reset = wal_->ResetTo(carry);
+  // must keep deduping in-flight retries. The carry streams straight from
+  // the window, oldest first.
+  Status reset =
+      wal_->ResetTo([&](const storage::AnswerWal::DedupSink& carry) {
+        for (const DedupIndex::value_type* entry : window_) {
+          carry(entry->first.worker->first, entry->first.request_id,
+                entry->second);
+        }
+      });
   if (!reset.ok()) return reset;
   wal_records_.store(wal_->record_count(), std::memory_order_relaxed);
   answers_since_checkpoint_ = 0;
@@ -206,18 +204,34 @@ Status DurableDocsSystem::CheckpointLocked() {
   return OkStatus();
 }
 
+size_t DurableDocsSystem::DedupKeyHash::operator()(
+    const DedupKey& key) const noexcept {
+  // splitmix64 finalizer over the request id, salted with the node address.
+  uint64_t x = key.request_id ^ reinterpret_cast<uintptr_t>(key.worker);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<size_t>(x ^ (x >> 31));
+}
+
 void DurableDocsSystem::RecordDedupLocked(const std::string& worker_id,
                                           uint64_t request_id,
                                           StatusCode code) {
   if (request_id == 0) return;
-  if (!window_index_.emplace(DedupKey(worker_id, request_id), code).second) {
-    return;  // already present (replay after a checkpoint/truncate crash)
-  }
-  window_.push_back({worker_id, request_id, code});
+  WindowWorkers::value_type& worker =
+      *window_workers_.try_emplace(worker_id, 0).first;
+  const auto [entry, fresh] =
+      window_index_.try_emplace({&worker, request_id}, code);
+  // Already present: a replay after a checkpoint/truncate crash.
+  if (!fresh) return;
+  ++worker.second;
+  window_.push_back(&*entry);
   while (window_.size() > options_.dedup_window) {
-    const DedupEntry& oldest = window_.front();
-    window_index_.erase(DedupKey(oldest.worker_id, oldest.request_id));
+    const DedupKey oldest = window_.front()->first;
     window_.pop_front();
+    window_index_.erase(oldest);
+    if (--oldest.worker->second == 0) {
+      window_workers_.erase(std::string(oldest.worker->first));
+    }
   }
 }
 

@@ -111,18 +111,22 @@ class DurableDocsSystem {
   const std::string& wal_path() const { return wal_path_; }
 
  private:
-  struct DedupEntry {
-    std::string worker_id;
+  /// Interned worker ids of the window, each with the number of window
+  /// entries that name it (the id is dropped when that reaches 0). Nodes
+  /// never move, so window entries point at them instead of holding a copy
+  /// of the id.
+  using WindowWorkers = std::unordered_map<std::string, uint32_t>;
+  struct DedupKey {
+    WindowWorkers::value_type* worker = nullptr;
     uint64_t request_id = 0;
-    StatusCode code = StatusCode::kOk;
+    bool operator==(const DedupKey&) const = default;
   };
-
-  static std::string DedupKey(const std::string& worker_id,
-                              uint64_t request_id) {
-    // request_id digits + '#' + raw id: unambiguous because the digit run
-    // contains no '#'.
-    return std::to_string(request_id) + '#' + worker_id;
-  }
+  struct DedupKeyHash {
+    // noexcept keeps the hash code out of every index node.
+    size_t operator()(const DedupKey& key) const noexcept;
+  };
+  /// (worker, request_id) -> the status the submit was answered with.
+  using DedupIndex = std::unordered_map<DedupKey, StatusCode, DedupKeyHash>;
 
   /// Inserts into the window, evicting FIFO past options_.dedup_window.
   void RecordDedupLocked(const std::string& worker_id, uint64_t request_id,
@@ -142,9 +146,12 @@ class DurableDocsSystem {
   /// relies entirely on this pointer's guard for cross-thread use.
   std::unique_ptr<storage::AnswerWal> wal_ DOCS_GUARDED_BY(mutex_)
       DOCS_PT_GUARDED_BY(mutex_);
-  std::deque<DedupEntry> window_ DOCS_GUARDED_BY(mutex_);  ///< FIFO, oldest 1st
-  std::unordered_map<std::string, StatusCode> window_index_
-      DOCS_GUARDED_BY(mutex_);
+  /// The dedup window (DESIGN.md §12): one index entry per live
+  /// (worker, request_id), plus a FIFO of pointers into the index, oldest
+  /// first, that drives eviction and the checkpoint carry.
+  WindowWorkers window_workers_ DOCS_GUARDED_BY(mutex_);
+  DedupIndex window_index_ DOCS_GUARDED_BY(mutex_);
+  std::deque<const DedupIndex::value_type*> window_ DOCS_GUARDED_BY(mutex_);
   size_t answers_since_checkpoint_ DOCS_GUARDED_BY(mutex_) = 0;
 
   std::atomic<bool> recovered_{false};

@@ -125,9 +125,6 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
 
   // --- Step 1: update M̂^(i), M^(i) and s_i only. -------------------------
   Matrix& log_numer = log_numerators_[task];
-  Matrix& truth_matrix = truth_matrices_[task];
-  row_scratch_.assign(l, 0.0);
-  std::vector<double>& row = row_scratch_;
   for (size_t k = 0; k < m; ++k) {
     const double q =
         Clamp(workers_[worker].stats.quality[k], options_.quality_clamp);
@@ -136,13 +133,10 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
         std::log((1.0 - q) / static_cast<double>(l > 1 ? l - 1 : 1));
     for (size_t j = 0; j < l; ++j) {
       log_numer(k, j) += (j == choice) ? log_correct : log_wrong;
-      row[j] = log_numer(k, j);
-    }
-    const double lse = LogSumExp(row);
-    for (size_t j = 0; j < l; ++j) {
-      truth_matrix(k, j) = std::exp(row[j] - lse);
     }
   }
+  Matrix& truth_matrix = truth_matrices_[task];
+  SoftmaxRowsInto(log_numer, &truth_matrix);
   truth_matrix.LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
   NormalizeInPlace(task_truth_[task]);
   const std::vector<double>& new_truth = task_truth_[task];
@@ -212,40 +206,13 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   return OkStatus();
 }
 
-void IncrementalTruthInference::RecomputeTask(size_t task) {
+void IncrementalTruthInference::RecomputeTask(size_t task,
+                                              const QualityLogTable& table) {
   DOCS_CHECK_LT(task, tasks_.size()) << "RecomputeTask on unknown task";
   const Task& t = tasks_[task];
-  const size_t m = t.domain_vector.size();
-  const size_t l = t.num_choices;
-  Matrix& log_numer = log_numerators_[task];
-  log_numer.Fill(0.0);
-  for (size_t k = 0; k < m; ++k) {
-    for (const Answer& answer : answers_of_task_[task]) {
-      const double q = Clamp(workers_[answer.worker].stats.quality[k],
-                             options_.quality_clamp);
-      const double log_correct = std::log(q);
-      const double log_wrong =
-          std::log((1.0 - q) / static_cast<double>(l > 1 ? l - 1 : 1));
-      for (size_t j = 0; j < l; ++j) {
-        log_numer(k, j) += (j == answer.choice) ? log_correct : log_wrong;
-      }
-    }
-  }
-  Matrix& truth_matrix = truth_matrices_[task];
-  // Per-thread scratch: RecomputeTask runs inside the RunFullInference
-  // ParallelFor fan-out, so a member buffer would race; the row only carries
-  // intermediates within one (task, domain) step, so reuse cannot affect the
-  // result.
-  thread_local std::vector<double> row;
-  row.assign(l, 0.0);
-  for (size_t k = 0; k < m; ++k) {
-    for (size_t j = 0; j < l; ++j) row[j] = log_numer(k, j);
-    const double lse = LogSumExp(row);
-    for (size_t j = 0; j < l; ++j) {
-      truth_matrix(k, j) = std::exp(row[j] - lse);
-    }
-  }
-  truth_matrix.LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
+  table.LogNumeratorInto(t, answers_of_task_[task], &log_numerators_[task]);
+  SoftmaxRowsInto(log_numerators_[task], &truth_matrices_[task]);
+  truth_matrices_[task].LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
   NormalizeInPlace(task_truth_[task]);
   // No epoch bump here: RecomputeTask only runs inside the RunFullInference
   // fan-out, whose single generation bump already invalidates every cached
@@ -285,9 +252,14 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   mutation_log_begin_ += mutation_log_.size();
   mutation_log_.clear();
   // Rebuild the incremental caches so later OnAnswer calls continue from the
-  // converged state. Every task owns its cache slots, so the fan-out is
-  // bit-identical to the sequential loop for any thread count.
-  ParallelFor(pool, tasks_.size(), [&](size_t i) { RecomputeTask(i); });
+  // converged state, from one log table of the converged qualities (the
+  // batch run's last table predates its final step 2). Every task owns its
+  // cache slots, so the fan-out is bit-identical to the sequential loop for
+  // any thread count.
+  QualityLogTable table;
+  table.Build(tasks_, tasks_.empty() ? 0 : tasks_[0].domain_vector.size(),
+              result.worker_quality, options_.quality_clamp, pool);
+  ParallelFor(pool, tasks_.size(), [&](size_t i) { RecomputeTask(i, table); });
 }
 
 std::vector<size_t> IncrementalTruthInference::InferredChoices() const {

@@ -143,8 +143,9 @@ class IncrementalTruthInference {
     uint64_t epoch = 1;
   };
 
-  /// Rebuilds M̂, M and s of `task` from scratch given current qualities.
-  void RecomputeTask(size_t task);
+  /// Rebuilds M̂, M and s of `task` from scratch from `table`, the log
+  /// table of the current qualities.
+  void RecomputeTask(size_t task, const QualityLogTable& table);
 
   std::vector<Task> tasks_;
   TruthInferenceOptions options_;
@@ -161,11 +162,10 @@ class IncrementalTruthInference {
   std::vector<std::vector<Answer>> answers_of_task_;
   std::vector<Answer> answers_;
   std::vector<WorkerState> workers_;
-  /// OnAnswer scratch (the facade serializes OnAnswer callers, so single
-  /// buffers suffice): s̃_i snapshot and the per-domain log-numerator row.
-  /// Reused across calls so the per-answer update is allocation-free.
+  /// OnAnswer scratch (the facade serializes OnAnswer callers, so one
+  /// buffer suffices): the s̃_i snapshot, reused across calls so the
+  /// per-answer update is allocation-free.
   std::vector<double> old_truth_scratch_;
-  std::vector<double> row_scratch_;
   /// Pool for RunFullInference (the batch EM plus the per-task recompute
   /// fan-out), built lazily from options_.num_threads and reused across the
   /// periodic re-runs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
@@ -25,6 +26,9 @@ bool AnswerInBounds(const Answer& answer,
          qualities[answer.worker].quality.size() == m && answer.choice < l;
 }
 
+/// The l - 1 wrong choices Eq. 4 spreads 1 - q over (1 for l <= 1).
+double WrongChoices(size_t l) { return static_cast<double>(l > 1 ? l - 1 : 1); }
+
 }  // namespace
 
 Matrix ComputeTruthMatrix(const Task& task,
@@ -44,13 +48,11 @@ void ComputeTruthMatrixInto(const Task& task,
                             size_t* skipped_answers) {
   const size_t m = task.domain_vector.size();
   const size_t l = task.num_choices;
-  Matrix& truth_matrix = *out;
-  truth_matrix.Resize(m, l);
-  // Per-thread scratch: this runs inside the EM ParallelFor fan-out. The
-  // buffers carry no state across calls (valid is rebuilt, log_row zeroed
-  // per domain), so reuse cannot affect the result.
+  // Per-thread scratch: this runs inside ParallelFor bodies. The buffers
+  // carry no state across calls (valid is rebuilt, log_numer zeroed), so
+  // reuse cannot affect the result.
   thread_local std::vector<const Answer*> valid;
-  thread_local std::vector<double> log_row;
+  thread_local Matrix log_numer;
   // Stray answers (worker unknown to `qualities`, mismatched quality
   // dimension, out-of-range choice) are dropped up front: the baselines feed
   // this function caller-supplied answer lists.
@@ -66,26 +68,91 @@ void ComputeTruthMatrixInto(const Task& task,
   }
   if (skipped_answers != nullptr) *skipped_answers = skipped;
 
-  log_row.assign(l, 0.0);
-  for (size_t k = 0; k < m; ++k) {
-    std::fill(log_row.begin(), log_row.end(), 0.0);
-    for (const Answer* answer : valid) {
+  log_numer.Resize(m, l);
+  log_numer.Fill(0.0);
+  for (const Answer* answer : valid) {
+    for (size_t k = 0; k < m; ++k) {
       const double q =
           Clamp(qualities[answer->worker].quality[k], quality_clamp);
       const double log_correct = std::log(q);
-      const double log_wrong =
-          std::log((1.0 - q) / static_cast<double>(l - 1 == 0 ? 1 : l - 1));
+      const double log_wrong = std::log((1.0 - q) / WrongChoices(l));
       for (size_t j = 0; j < l; ++j) {
-        log_row[j] += (answer->choice == j) ? log_correct : log_wrong;
+        log_numer(k, j) += (answer->choice == j) ? log_correct : log_wrong;
       }
     }
-    // Row-normalize (Eq. 3) via a stable softmax over the log numerators.
-    const double lse = LogSumExp(log_row);
-    for (size_t j = 0; j < l; ++j) {
-      truth_matrix(k, j) = std::exp(log_row[j] - lse);
+  }
+  SoftmaxRowsInto(log_numer, out);
+}
+
+void SoftmaxRowsInto(const Matrix& log_numer, Matrix* out) {
+  const size_t m = log_numer.rows();
+  const size_t l = log_numer.cols();
+  out->Resize(m, l);
+  // Per-thread scratch (this runs inside the EM ParallelFor fan-out); the
+  // row only carries one domain's intermediates, so reuse cannot leak.
+  thread_local std::vector<double> row;
+  row.resize(l);
+  for (size_t k = 0; k < m; ++k) {
+    for (size_t j = 0; j < l; ++j) row[j] = log_numer(k, j);
+    const double lse = LogSumExp(row);
+    for (size_t j = 0; j < l; ++j) (*out)(k, j) = std::exp(row[j] - lse);
+  }
+  DOCS_DCHECK_FINITE(*out, "truth matrix (Eq. 3)");
+}
+
+void QualityLogTable::Build(const std::vector<Task>& tasks, size_t m,
+                            const std::vector<WorkerQuality>& qualities,
+                            double quality_clamp, ThreadPool* pool) {
+  m_ = m;
+  slot_of_l_.clear();
+  num_slots_ = 0;
+  std::vector<size_t> choice_counts;
+  for (const Task& task : tasks) {
+    const size_t l = task.num_choices;
+    if (l >= slot_of_l_.size()) slot_of_l_.resize(l + 1, SIZE_MAX);
+    if (slot_of_l_[l] != SIZE_MAX) continue;
+    slot_of_l_[l] = num_slots_++;
+    choice_counts.push_back(l);
+  }
+  const size_t num_workers = qualities.size();
+  log_correct_.resize(num_workers * m);
+  log_wrong_.resize(num_workers * num_slots_ * m);
+  ParallelFor(pool, num_workers, [&](size_t w) {
+    DOCS_DCHECK(qualities[w].quality.size() == m)
+        << "worker quality of the wrong dimension in the EM log table";
+    for (size_t k = 0; k < m; ++k) {
+      const double q = Clamp(qualities[w].quality[k], quality_clamp);
+      log_correct_[w * m + k] = std::log(q);
+      for (size_t s = 0; s < num_slots_; ++s) {
+        log_wrong_[(w * num_slots_ + s) * m + k] =
+            std::log((1.0 - q) / WrongChoices(choice_counts[s]));
+      }
+    }
+  });
+}
+
+void QualityLogTable::LogNumeratorInto(const Task& task,
+                                       const std::vector<Answer>& task_answers,
+                                       Matrix* out) const {
+  const size_t m = task.domain_vector.size();
+  const size_t l = task.num_choices;
+  Matrix& log_numer = *out;
+  log_numer.Resize(m, l);
+  log_numer.Fill(0.0);
+  if (task_answers.empty()) return;
+  DOCS_DCHECK(m == m_ && l < slot_of_l_.size() && slot_of_l_[l] != SIZE_MAX)
+      << "task shape " << m << " x " << l << " missing from the EM log table";
+  const size_t slot = slot_of_l_[l];
+  for (const Answer& answer : task_answers) {
+    const double* log_correct = &log_correct_[answer.worker * m];
+    const double* log_wrong =
+        &log_wrong_[(answer.worker * num_slots_ + slot) * m];
+    for (size_t k = 0; k < m; ++k) {
+      for (size_t j = 0; j < l; ++j) {
+        log_numer(k, j) += (answer.choice == j) ? log_correct[k] : log_wrong[k];
+      }
     }
   }
-  DOCS_DCHECK_FINITE(truth_matrix, "truth matrix (Eq. 3)");
 }
 
 std::vector<WorkerQuality> InitializeQualityFromGolden(
@@ -226,8 +293,11 @@ TruthInferenceResult TruthInference::Run(
   // Worker qualities: seeded from `initial_quality` or the default.
   result.worker_quality.resize(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
+    // A seed is used only when both vectors span the m domains; step 2
+    // reads the seed's weight as well as its quality.
     if (initial_quality != nullptr && w < initial_quality->size() &&
-        (*initial_quality)[w].quality.size() == m) {
+        (*initial_quality)[w].quality.size() == m &&
+        (*initial_quality)[w].weight.size() == m) {
       CheckUnitInterval((*initial_quality)[w].quality, 1e-9,
                         "seeded worker quality (Eq. 5)");
       result.worker_quality[w] = (*initial_quality)[w];
@@ -245,6 +315,7 @@ TruthInferenceResult TruthInference::Run(
   // copy-based rotation (determinism_test covers this).
   std::vector<std::vector<double>> prev_truth(n);
   std::vector<WorkerQuality> prev_quality = result.worker_quality;
+  QualityLogTable log_table;
 
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
     // Rotate: prev_truth takes the last iteration's truth, and step 1 below
@@ -253,12 +324,16 @@ TruthInferenceResult TruthInference::Run(
     std::swap(prev_truth, result.task_truth);
 
     // --- Step 1: infer the truth from qualities (Eq. 2-4). ----------------
-    // Each task owns its result slots, so the parallel loop commutes with
-    // the sequential one bit for bit.
+    // The Eq. 4 logs are taken once per (worker, domain, l) here instead of
+    // once per answer; the sums are bit-identical to ComputeTruthMatrixInto
+    // (see QualityLogTable). Each task owns its result slots, so the
+    // parallel loop commutes with the sequential one bit for bit.
+    log_table.Build(tasks, m, result.worker_quality, options_.quality_clamp,
+                    pool);
     ParallelFor(pool, n, [&](size_t i) {
-      ComputeTruthMatrixInto(tasks[i], answers_of_task[i],
-                             result.worker_quality, options_.quality_clamp,
-                             &result.truth_matrices[i]);
+      thread_local Matrix log_numer;
+      log_table.LogNumeratorInto(tasks[i], answers_of_task[i], &log_numer);
+      SoftmaxRowsInto(log_numer, &result.truth_matrices[i]);
       result.truth_matrices[i].LeftMultiplyInto(tasks[i].domain_vector,
                                                 &result.task_truth[i]);
       // The domain vector always sums to 1 for the wrapper-produced tasks,

@@ -77,6 +77,42 @@ void ComputeTruthMatrixInto(const Task& task,
                             double quality_clamp, Matrix* out,
                             size_t* skipped_answers = nullptr);
 
+/// Eq. 3's row normalization: `*out` takes log_numer's shape and row k
+/// becomes the stable softmax exp(M̂_k,j - LogSumExp(M̂_k)). Every step-1
+/// path (ComputeTruthMatrixInto, the EM sweep, the incremental engine) ends
+/// here, so they agree bit for bit whenever their log-numerators do.
+void SoftmaxRowsInto(const Matrix& log_numer, Matrix* out);
+
+/// Eq. 4's per-answer log terms, tabulated once per EM iteration instead of
+/// once per answer: for every worker w and domain k, log q and, for every
+/// choice count l in use, log((1 - q) / (l - 1)), with q the clamped q^w_k.
+/// A task's log-numerator is then a sum of table entries with answers in
+/// the outer loop, so each cell adds the same values (the same std::log of
+/// the same input) in the same answer order as ComputeTruthMatrixInto —
+/// the result is bit-identical to it (DESIGN.md §4).
+class QualityLogTable {
+ public:
+  /// Tabulates `qualities` (each of dimension `m`) for every choice count
+  /// of `tasks`. The pool, when non-null, fans the fill out over workers.
+  void Build(const std::vector<Task>& tasks, size_t m,
+             const std::vector<WorkerQuality>& qualities, double quality_clamp,
+             ThreadPool* pool);
+
+  /// Writes `task`'s log-numerator M̂ (m x l, Eq. 3's numerator in log
+  /// space) into `*out`. Every answer must be in bounds (worker tabulated,
+  /// choice < l); the EM callers filter up front.
+  void LogNumeratorInto(const Task& task,
+                        const std::vector<Answer>& task_answers,
+                        Matrix* out) const;
+
+ private:
+  size_t m_ = 0;
+  size_t num_slots_ = 0;           // distinct choice counts tabulated
+  std::vector<size_t> slot_of_l_;  // choice count -> slot
+  std::vector<double> log_correct_;  // [w * m + k]
+  std::vector<double> log_wrong_;    // [(w * num_slots + slot) * m + k]
+};
+
 /// Initializes worker qualities from their answers to golden tasks
 /// (Section 5.2): per domain, the r-weighted fraction of correct golden
 /// answers, smoothed toward `options.default_quality`. Weights u are the
@@ -103,7 +139,9 @@ class TruthInference {
   /// Runs inference over `tasks` (with their domain vectors) and `answers`
   /// from `num_workers` workers. `initial_quality`, when provided, seeds the
   /// worker qualities (e.g. from golden tasks or the WorkerStore); otherwise
-  /// every worker starts at options.default_quality.
+  /// every worker starts at options.default_quality. A seed whose quality or
+  /// weight vector does not span the tasks' m domains is ignored (that
+  /// worker starts at the default too).
   TruthInferenceResult Run(
       const std::vector<Task>& tasks, size_t num_workers,
       const std::vector<Answer>& answers,

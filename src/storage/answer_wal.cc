@@ -13,14 +13,29 @@ namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
+void AppendHex(const std::string& raw, std::string* out) {
+  for (unsigned char c : raw) {
+    out->push_back(kHexDigits[c >> 4]);
+    out->push_back(kHexDigits[c & 0xf]);
+  }
+}
+
 std::string ToHex(const std::string& raw) {
   std::string out;
   out.reserve(raw.size() * 2);
-  for (unsigned char c : raw) {
-    out.push_back(kHexDigits[c >> 4]);
-    out.push_back(kHexDigits[c & 0xf]);
-  }
+  AppendHex(raw, &out);
   return out;
+}
+
+/// Appends the payload `dedup <request_id> <CODE_NAME> <hex(worker_id)>`.
+void AppendDedupPayload(const std::string& worker_id, uint64_t request_id,
+                        StatusCode code, std::string* out) {
+  out->append("dedup ");
+  out->append(std::to_string(request_id));
+  out->push_back(' ');
+  out->append(StatusCodeToString(code));
+  out->push_back(' ');
+  AppendHex(worker_id, out);
 }
 
 int HexNibble(char c) {
@@ -61,9 +76,12 @@ std::string SerializeRecord(const AnswerWal::Record& record) {
       return "ans " + std::to_string(record.request_id) + ' ' +
              std::to_string(record.task) + ' ' +
              std::to_string(record.choice) + ' ' + ToHex(record.worker_id);
-    case Kind::kDedup:
-      return "dedup " + std::to_string(record.request_id) + ' ' +
-             StatusCodeToString(record.code) + ' ' + ToHex(record.worker_id);
+    case Kind::kDedup: {
+      std::string payload;
+      AppendDedupPayload(record.worker_id, record.request_id, record.code,
+                         &payload);
+      return payload;
+    }
   }
   return "";
 }
@@ -111,7 +129,7 @@ StatusOr<AnswerWal> AnswerWal::Open(const std::string& path,
   contents->records.clear();
   contents->tail_truncated = false;
 
-  std::vector<std::string> payloads;
+  std::string mirror;
   std::string bad_payload;
   auto replay = [&](const std::string& payload) {
     if (!bad_payload.empty()) return;
@@ -120,7 +138,7 @@ StatusOr<AnswerWal> AnswerWal::Open(const std::string& path,
       bad_payload = payload;
       return;
     }
-    payloads.push_back(payload);
+    mirror.append(payload).push_back('\n');
     contents->records.push_back(std::move(record));
   };
   bool torn = false;
@@ -146,11 +164,11 @@ StatusOr<AnswerWal> AnswerWal::Open(const std::string& path,
     }
   }
   AnswerWal wal(std::move(store).value());
-  wal.payloads_ = std::move(payloads);
+  wal.mirror_ = std::move(mirror);
   if (torn) {
     // Scrub the torn bytes now: appending on top of them would fuse the
     // torn prefix with the next record and lose both.
-    Status repaired = wal.store_.Compact(wal.payloads_);
+    Status repaired = wal.store_.CompactLines(wal.mirror_);
     if (!repaired.ok()) return repaired;
     contents->tail_truncated = true;
   }
@@ -184,7 +202,7 @@ Status AnswerWal::AppendPayload(const std::string& payload) {
     // An earlier failure left bytes past the mirror that a repair could not
     // scrub. Appending on top would fuse with them and corrupt both records,
     // so retry the scrub first and refuse the append while it keeps failing.
-    Status repaired = store_.Compact(payloads_);
+    Status repaired = store_.CompactLines(mirror_);
     if (!repaired.ok()) {
       return UnavailableError("answer log tail dirty: " + repaired.ToString());
     }
@@ -194,14 +212,14 @@ Status AnswerWal::AppendPayload(const std::string& payload) {
   if (!appended.ok()) {
     // The failed append may have left a torn half-record; rewrite the log
     // from the known-good mirror and try once more.
-    Status repaired = store_.Compact(payloads_);
+    Status repaired = store_.CompactLines(mirror_);
     if (!repaired.ok()) {
       tail_dirty_ = true;
       return appended;
     }
     appended = store_.Append(payload);
     if (!appended.ok()) {
-      if (!store_.Compact(payloads_).ok()) tail_dirty_ = true;
+      if (!store_.CompactLines(mirror_).ok()) tail_dirty_ = true;
       return appended;
     }
   }
@@ -211,28 +229,37 @@ Status AnswerWal::AppendPayload(const std::string& payload) {
     // caller records no dedup entry for a failed append — so a retry with
     // the same request_id will re-log it. Physically roll the record back
     // (Open rejects duplicate (worker, request_id) pairs as kDataLoss).
-    if (!store_.Compact(payloads_).ok()) tail_dirty_ = true;
+    if (!store_.CompactLines(mirror_).ok()) tail_dirty_ = true;
     return flushed;
   }
-  payloads_.push_back(payload);
+  mirror_.append(payload).push_back('\n');
   return OkStatus();
 }
 
-Status AnswerWal::ResetTo(const std::vector<Record>& window) {
-  std::vector<std::string> payloads;
-  payloads.reserve(window.size());
-  for (const Record& record : window) {
-    if (record.request_id == 0) continue;  // never a dedup key
-    Record dedup;
-    dedup.kind = Record::Kind::kDedup;
-    dedup.worker_id = record.worker_id;
-    dedup.request_id = record.request_id;
-    dedup.code = record.code;
-    payloads.push_back(SerializeRecord(dedup));
-  }
-  Status compacted = store_.Compact(payloads);
+Status AnswerWal::ResetTo(
+    const std::function<void(const DedupSink&)>& window) {
+  // Two passes: size the new mirror exactly, then fill it, so the checkpoint
+  // peak holds no growth slack (both mirrors are live until the swap).
+  size_t bytes = 0;
+  std::string payload;
+  window([&](const std::string& worker_id, uint64_t request_id,
+             StatusCode code) {
+    if (request_id == 0) return;  // never a dedup key
+    payload.clear();
+    AppendDedupPayload(worker_id, request_id, code, &payload);
+    bytes += payload.size() + 1;
+  });
+  std::string mirror;
+  mirror.reserve(bytes);
+  window([&mirror](const std::string& worker_id, uint64_t request_id,
+                   StatusCode code) {
+    if (request_id == 0) return;
+    AppendDedupPayload(worker_id, request_id, code, &mirror);
+    mirror.push_back('\n');
+  });
+  Status compacted = store_.CompactLines(mirror);
   if (!compacted.ok()) return compacted;
-  payloads_ = std::move(payloads);
+  mirror_ = std::move(mirror);
   return OkStatus();
 }
 

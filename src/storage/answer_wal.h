@@ -1,6 +1,8 @@
 #ifndef DOCS_STORAGE_ANSWER_WAL_H_
 #define DOCS_STORAGE_ANSWER_WAL_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -88,11 +90,19 @@ class AnswerWal {
                                     uint64_t request_id, uint64_t task,
                                     uint32_t choice);
 
-  /// Post-checkpoint truncation: atomically replaces the log with only
-  /// `window` (as dedup records, in order). Answers up to the checkpoint are
-  /// now owned by the checkpoint file; the dedup window must outlive them so
-  /// in-flight retries still dedup.
-  [[nodiscard]] Status ResetTo(const std::vector<Record>& window);
+  /// Receives one dedup-window entry for ResetTo.
+  using DedupSink = std::function<void(
+      const std::string& worker_id, uint64_t request_id, StatusCode code)>;
+
+  /// Post-checkpoint truncation: atomically replaces the log with only the
+  /// dedup window, one `dedup` record per entry that `window` feeds its
+  /// sink, in order (entries with request_id 0 are skipped). Answers up to
+  /// the checkpoint are now owned by the checkpoint file; the dedup window
+  /// must outlive them so in-flight retries still dedup. `window` is called
+  /// twice and must feed the same entries both times (the first pass sizes
+  /// the new mirror).
+  [[nodiscard]] Status ResetTo(
+      const std::function<void(const DedupSink&)>& window);
 
  private:
   explicit AnswerWal(LogStore store) : store_(std::move(store)) {}
@@ -100,9 +110,10 @@ class AnswerWal {
   [[nodiscard]] Status AppendPayload(const std::string& payload);
 
   LogStore store_;
-  /// Mirror of every payload physically in the log, in order — the compact
-  /// set for torn-tail self-repair.
-  std::vector<std::string> payloads_;
+  /// Mirror of every payload physically in the log, in order, each ended by
+  /// '\n' (payloads never hold one) — the compact set for torn-tail
+  /// self-repair, kept in one buffer rather than one string per record.
+  std::string mirror_;
   /// True while the file may hold bytes past the mirror (a failed append or
   /// rollback whose repair compaction also failed). Appends are refused
   /// until a compaction scrubs the tail.

@@ -1,5 +1,6 @@
 #include "storage/log_store.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -11,7 +12,7 @@
 namespace docs::storage {
 namespace {
 
-uint64_t Fnv1a(const std::string& payload) {
+uint64_t Fnv1a(std::string_view payload) {
   uint64_t hash = 1469598103934665603ULL;
   for (unsigned char c : payload) {
     hash ^= c;
@@ -34,6 +35,10 @@ bool ParseRecord(const std::string& line, std::string* payload) {
   if (Fnv1a(body) != stored) return false;
   *payload = std::move(body);
   return true;
+}
+
+void WriteRecord(std::ostream& out, std::string_view payload) {
+  out << "PUT " << payload << " #" << Fnv1a(payload) << '\n';
 }
 
 }  // namespace
@@ -110,13 +115,31 @@ Status LogStore::Append(const std::string& payload) {
     file_->out.flush();
     return IoError("injected torn append: " + path_);
   }
-  file_->out << "PUT " << payload << " #" << Fnv1a(payload) << '\n';
+  WriteRecord(file_->out, payload);
   if (!file_->out.good()) return IoError("append failed: " + path_);
   ++record_count_;
   return OkStatus();
 }
 
 Status LogStore::Compact(const std::vector<std::string>& payloads) {
+  return CompactWith([&](const PayloadSink& emit) {
+    for (const auto& payload : payloads) emit(payload);
+  });
+}
+
+Status LogStore::CompactLines(std::string_view lines) {
+  return CompactWith([&](const PayloadSink& emit) {
+    for (size_t begin = 0; begin < lines.size();) {
+      // A final line missing its '\n' still counts as a record.
+      const size_t end = std::min(lines.find('\n', begin), lines.size());
+      emit(lines.substr(begin, end - begin));
+      begin = end + 1;
+    }
+  });
+}
+
+Status LogStore::CompactWith(
+    const std::function<void(const PayloadSink&)>& records) {
   file_->out.close();
   const std::string tmp = path_ + ".compact";
   // On any failure the original log is untouched; reopen it for append so
@@ -125,12 +148,14 @@ Status LogStore::Compact(const std::vector<std::string>& payloads) {
     file_->out.open(path_, std::ios::app);
     return IoError(std::move(message));
   };
+  size_t record_count = 0;
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out.is_open()) return fail("cannot open " + tmp);
-    for (const auto& payload : payloads) {
-      out << "PUT " << payload << " #" << Fnv1a(payload) << '\n';
-    }
+    records([&](std::string_view payload) {
+      WriteRecord(out, payload);
+      ++record_count;
+    });
     if (DOCS_FAULT_POINT(kFaultCompactWrite)) {
       return fail("injected compaction write failure: " + path_);
     }
@@ -144,7 +169,7 @@ Status LogStore::Compact(const std::vector<std::string>& payloads) {
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     return fail("compaction rename failed");
   }
-  record_count_ = payloads.size();
+  record_count_ = record_count;
   file_->out.open(path_, std::ios::app);
   if (!file_->out.is_open()) return IoError("cannot reopen " + path_);
   return OkStatus();

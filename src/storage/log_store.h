@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -70,6 +71,18 @@ class LogStore {
 
   /// Atomically replaces the log with exactly `payloads`.
   [[nodiscard]] Status Compact(const std::vector<std::string>& payloads);
+
+  /// As Compact, with the payloads given as one buffer of '\n'-terminated
+  /// lines (AnswerWal's contiguous mirror), so no per-record string exists.
+  [[nodiscard]] Status CompactLines(std::string_view lines);
+
+  /// Receives one payload for CompactWith.
+  using PayloadSink = std::function<void(std::string_view payload)>;
+
+  /// As Compact, with `records` feeding the payloads to its sink one at a
+  /// time as they are written, so no list of them is ever held.
+  [[nodiscard]] Status CompactWith(
+      const std::function<void(const PayloadSink&)>& records);
 
   /// Flushes buffered appends to the OS.
   [[nodiscard]] Status Flush();

@@ -1,6 +1,8 @@
 #include "storage/state_checkpoint.h"
 
+#include <charconv>
 #include <sstream>
+#include <string>
 
 #include "common/fault_injection.h"
 #include "storage/log_store.h"
@@ -15,24 +17,50 @@ namespace {
 //   worker <index> <external_id> <golden_done> <m> q0.. u0..
 //   answer <task> <worker> <choice>
 
-std::string SerializeTask(size_t index, const StateCheckpoint::TaskState& t) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "task " << index << ' ' << t.known_truth << ' ' << t.num_choices
-      << ' ' << t.domain_vector.size();
-  for (double r : t.domain_vector) out << ' ' << r;
-  return out.str();
+// Each payload is formatted with std::to_chars into one reused string and
+// written as it is made (LogStore::CompactWith): a stream per record made
+// formatting most of a checkpoint's cost, and a list of every payload held
+// the whole file in memory. Doubles are written as %.17g, which
+// round-trips exactly and is the text earlier builds wrote (a stream at
+// precision 17), so old and new checkpoints read alike.
+
+void AppendField(double value, std::string* out) {
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  out->push_back(' ');
+  out->append(buffer, end);
 }
 
-std::string SerializeWorker(size_t index,
-                            const StateCheckpoint::WorkerState& w) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "worker " << index << ' ' << w.external_id << ' '
-      << (w.golden_done ? 1 : 0) << ' ' << w.seed_quality.size();
-  for (double q : w.seed_quality) out << ' ' << q;
-  for (double u : w.seed_weight) out << ' ' << u;
-  return out.str();
+template <typename Int>
+void AppendField(Int value, std::string* out) {
+  char buffer[24];
+  const auto end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out->push_back(' ');
+  out->append(buffer, end);
+}
+
+void FormatTask(size_t index, const StateCheckpoint::TaskState& t,
+                std::string* out) {
+  *out = "task";
+  AppendField(index, out);
+  AppendField(t.known_truth, out);
+  AppendField(t.num_choices, out);
+  AppendField(t.domain_vector.size(), out);
+  for (double r : t.domain_vector) AppendField(r, out);
+}
+
+void FormatWorker(size_t index, const StateCheckpoint::WorkerState& w,
+                  std::string* out) {
+  *out = "worker";
+  AppendField(index, out);
+  out->push_back(' ');
+  out->append(w.external_id);
+  AppendField(w.golden_done ? 1 : 0, out);
+  AppendField(w.seed_quality.size(), out);
+  for (double q : w.seed_quality) AppendField(q, out);
+  for (double u : w.seed_weight) AppendField(u, out);
 }
 
 }  // namespace
@@ -44,29 +72,36 @@ Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
     // stays intact, which is what retry-with-backoff relies on.
     return IoError("injected checkpoint save failure: " + path);
   }
-  std::vector<std::string> payloads;
-  payloads.reserve(checkpoint.tasks.size() + checkpoint.workers.size() +
-                   checkpoint.answers.size() + checkpoint.golden_tasks.size());
-  for (size_t i = 0; i < checkpoint.tasks.size(); ++i) {
-    payloads.push_back(SerializeTask(i, checkpoint.tasks[i]));
-  }
-  for (size_t g : checkpoint.golden_tasks) {
-    payloads.push_back("golden " + std::to_string(g));
-  }
-  for (size_t w = 0; w < checkpoint.workers.size(); ++w) {
-    if (checkpoint.workers[w].external_id.find(' ') != std::string::npos) {
+  for (const auto& worker : checkpoint.workers) {
+    if (worker.external_id.find(' ') != std::string::npos) {
       return InvalidArgumentError("worker ids must not contain spaces");
     }
-    payloads.push_back(SerializeWorker(w, checkpoint.workers[w]));
-  }
-  for (const auto& answer : checkpoint.answers) {
-    payloads.push_back("answer " + std::to_string(answer.task) + ' ' +
-                       std::to_string(answer.worker) + ' ' +
-                       std::to_string(answer.choice));
   }
   auto log = LogStore::Open(path, nullptr);
   if (!log.ok()) return log.status();
-  return log->Compact(payloads);
+  return log->CompactWith([&](const LogStore::PayloadSink& emit) {
+    std::string payload;
+    for (size_t i = 0; i < checkpoint.tasks.size(); ++i) {
+      FormatTask(i, checkpoint.tasks[i], &payload);
+      emit(payload);
+    }
+    for (size_t g : checkpoint.golden_tasks) {
+      payload = "golden";
+      AppendField(g, &payload);
+      emit(payload);
+    }
+    for (size_t w = 0; w < checkpoint.workers.size(); ++w) {
+      FormatWorker(w, checkpoint.workers[w], &payload);
+      emit(payload);
+    }
+    for (const auto& answer : checkpoint.answers) {
+      payload = "answer";
+      AppendField(answer.task, &payload);
+      AppendField(answer.worker, &payload);
+      AppendField(answer.choice, &payload);
+      emit(payload);
+    }
+  });
 }
 
 StatusOr<StateCheckpoint> LoadStateCheckpoint(const std::string& path) {

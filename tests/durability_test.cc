@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -413,6 +414,110 @@ TEST_F(DurabilityTest, WindowEvictsFifoAtTheConfiguredBound) {
   EXPECT_EQ(durable.SubmitAnswer("w0", 0, 0, 31).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(system->num_answers(), 3u);
+}
+
+TEST_F(DurabilityTest, WindowStaysExactFifoAcrossCheckpointsAndRecover) {
+  // A model FIFO of (worker, request_id, original code) runs beside the
+  // durable layer through three checkpoints and one crash + Recover():
+  // every modeled entry must answer a retry with its original code without
+  // applying, the entry just evicted must apply fresh, and each checkpoint
+  // must leave exactly the window in the WAL.
+  constexpr size_t kWindow = 5;
+  const std::string dir = FreshDir("dur_window_fifo");
+  DurableOptions options;
+  options.dir = dir;
+  options.dedup_window = kWindow;
+  auto system = LoadedSystem();
+  auto durable = std::make_unique<DurableDocsSystem>(system.get(), options);
+  ASSERT_TRUE(durable->Recover().ok());
+  const std::string kOther = "w#1";
+  Register(*durable, "w0");
+  Register(*durable, kOther);
+
+  struct Entry {
+    std::string worker;
+    uint64_t request_id;
+    StatusCode code;
+  };
+  std::deque<Entry> model;
+  std::vector<Entry> evicted;
+  size_t next_task = 0;
+  uint64_t next_request_id = 700;
+
+  // A submit the window has not seen; records it in the model.
+  auto submit_fresh = [&](const std::string& worker, size_t task,
+                          uint64_t request_id) {
+    const uint64_t deduped = durable->stats().answers_deduped;
+    const Status status = durable->SubmitAnswer(worker, task, 0, request_id);
+    EXPECT_EQ(durable->stats().answers_deduped, deduped) << request_id;
+    model.push_back({worker, request_id, status.code()});
+    if (model.size() > kWindow) {
+      evicted.push_back(model.front());
+      model.pop_front();
+    }
+    return status.code();
+  };
+  // Every modeled entry is answered from the window with its original code
+  // (even with a different body) and nothing is applied.
+  auto expect_window_matches_model = [&] {
+    for (const Entry& entry : model) {
+      const size_t answers = system->num_answers();
+      const uint64_t deduped = durable->stats().answers_deduped;
+      EXPECT_EQ(durable->SubmitAnswer(entry.worker, 0, 1, entry.request_id)
+                    .code(),
+                entry.code)
+          << entry.request_id;
+      EXPECT_EQ(durable->stats().answers_deduped, deduped + 1);
+      EXPECT_EQ(system->num_answers(), answers);
+    }
+  };
+  // One round: OK, invalid (unregistered worker) and already-exists
+  // verdicts, more of them than the window holds.
+  auto round = [&] {
+    const size_t first = next_task;
+    EXPECT_EQ(submit_fresh("w0", next_task++, next_request_id++),
+              StatusCode::kOk);
+    EXPECT_EQ(submit_fresh(kOther, next_task++, next_request_id++),
+              StatusCode::kOk);
+    EXPECT_EQ(submit_fresh("ghost", next_task++, next_request_id++),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(submit_fresh("w0", first, next_request_id++),
+              StatusCode::kAlreadyExists);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(submit_fresh(i % 2 ? "w0" : kOther, next_task++,
+                             next_request_id++),
+                StatusCode::kOk);
+    }
+  };
+  // The entry evicted last is forgotten: its request_id applies fresh.
+  auto expect_evicted_applies_fresh = [&] {
+    const Entry gone = evicted.back();
+    const size_t answers = system->num_answers();
+    EXPECT_EQ(submit_fresh("w0", next_task++, gone.request_id),
+              StatusCode::kOk);
+    EXPECT_EQ(system->num_answers(), answers + 1);
+  };
+
+  for (int checkpoint = 1; checkpoint <= 3; ++checkpoint) {
+    SCOPED_TRACE("checkpoint " + std::to_string(checkpoint));
+    round();
+    ASSERT_EQ(model.size(), kWindow);
+    const Status saved = durable->Checkpoint();
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+    EXPECT_EQ(durable->stats().wal_records, kWindow);
+    expect_window_matches_model();
+    expect_evicted_applies_fresh();
+    expect_window_matches_model();
+    if (checkpoint == 2) {
+      // Crash: the WAL now holds the carried window plus one `ans` record.
+      durable.reset();
+      system = EmptySystem();
+      durable = std::make_unique<DurableDocsSystem>(system.get(), options);
+      ASSERT_TRUE(durable->Recover().ok());
+      EXPECT_EQ(durable->stats().answers_recovered, 1u);
+      expect_window_matches_model();
+    }
+  }
 }
 
 TEST_F(DurabilityTest, CheckpointTruncatesWalAndCarriesWindow) {

@@ -100,6 +100,27 @@ TEST(LogStoreTest, CompactRewritesAtomically) {
             (std::vector<std::string>{"only survivor", "post-compact"}));
 }
 
+TEST(LogStoreTest, CompactLinesWritesOneRecordPerLine) {
+  // The buffer form AnswerWal compacts from: every '\n'-ended line is one
+  // record, and a final line missing its '\n' still counts.
+  const std::string path = TempPath("log_compact_lines.log");
+  std::remove(path.c_str());
+  auto log = storage::LogStore::Open(path, nullptr);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE(log->Append("dropped").ok());
+  ASSERT_TRUE(log->CompactLines("first record\nsecond\nlast").ok());
+  EXPECT_EQ(log->record_count(), 3u);
+  std::vector<std::string> replayed;
+  auto reopened = storage::LogStore::Open(
+      path, [&](const std::string& payload) { replayed.push_back(payload); });
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(replayed,
+            (std::vector<std::string>{"first record", "second", "last"}));
+
+  ASSERT_TRUE(reopened->CompactLines("").ok());
+  EXPECT_EQ(reopened->record_count(), 0u);
+}
+
 TEST(LogStoreTest, TruncationAtEveryByteRecoversIntactPrefix) {
   const std::string path = TempPath("log_truncate_sweep.log");
   std::remove(path.c_str());

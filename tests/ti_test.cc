@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/math_utils.h"
+#include "core/incremental_ti.h"
 #include "core/truth_inference.h"
 #include "crowd/campaign.h"
 #include "crowd/worker_pool.h"
@@ -382,6 +385,237 @@ TEST(GoldenInitTest, ZeroSmoothingWithoutGoldenAnswersStaysFinite) {
   // Worker 1 never answered a golden task: default, not NaN.
   EXPECT_DOUBLE_EQ(seeds[1].quality[0], 0.7);
   EXPECT_TRUE(std::isfinite(seeds[1].quality[0]));
+}
+
+TEST(TruthInferenceTest, SeedWithShortWeightFallsBackToDefault) {
+  // Regression: a seed whose quality spans the m domains but whose weight
+  // does not was accepted, and step 2 then read weight[k] past the end. Such
+  // a seed is ignored like any other mis-sized one: the worker starts at
+  // the default, exactly as if no seed had been given.
+  std::vector<Task> tasks(2);
+  tasks[0].domain_vector = {0.7, 0.3};
+  tasks[0].num_choices = 2;
+  tasks[1].domain_vector = {0.2, 0.8};
+  tasks[1].num_choices = 3;
+  const std::vector<Answer> answers = {
+      {0, 0, 0}, {0, 1, 1}, {1, 0, 2}, {1, 1, 2}};
+  std::vector<WorkerQuality> seeds(2);
+  seeds[0].quality = {0.9, 0.8};  // no weight at all
+  seeds[1].quality = {0.6, 0.95};
+  seeds[1].weight = {2.0};  // one weight for two domains
+  TruthInference engine;
+  const auto seeded = engine.Run(tasks, 2, answers, &seeds);
+  const auto unseeded = engine.Run(tasks, 2, answers);
+  for (size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(seeded.worker_quality[w].quality,
+              unseeded.worker_quality[w].quality)
+        << "worker " << w;
+    EXPECT_EQ(seeded.worker_quality[w].weight,
+              unseeded.worker_quality[w].weight)
+        << "worker " << w;
+  }
+  EXPECT_EQ(seeded.task_truth, unseeded.task_truth);
+}
+
+// --- Bit-identity of the table-driven step 1 ---------------------------------
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         BitEqual(a.data(), b.data());
+}
+
+/// The EM loop of Section 4.1 with step 1 taken answer by answer through the
+/// public ComputeTruthMatrixInto — the reference that TruthInference::Run's
+/// log-table sweep must reproduce bit for bit. Step 2 and the convergence
+/// check restate Run's arithmetic in its order.
+TruthInferenceResult ReferenceEm(const std::vector<Task>& tasks,
+                                 size_t num_workers,
+                                 const std::vector<Answer>& answers,
+                                 const std::vector<WorkerQuality>& seeds,
+                                 const TruthInferenceOptions& options) {
+  const size_t n = tasks.size();
+  const size_t m = tasks[0].domain_vector.size();
+  std::vector<std::vector<Answer>> answers_of_task(n);
+  for (const Answer& answer : answers) {
+    answers_of_task[answer.task].push_back(answer);
+  }
+  TruthInferenceResult result;
+  result.task_truth.resize(n);
+  result.truth_matrices.resize(n);
+  result.worker_quality.resize(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    if (w < seeds.size() && seeds[w].quality.size() == m &&
+        seeds[w].weight.size() == m) {
+      result.worker_quality[w] = seeds[w];
+    } else {
+      result.worker_quality[w].quality.assign(m, options.default_quality);
+      result.worker_quality[w].weight.assign(m, 0.0);
+    }
+  }
+  const std::vector<WorkerQuality> seeded = result.worker_quality;
+  const double prior = options.quality_prior_strength;
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<std::vector<double>> prev_truth = result.task_truth;
+    for (size_t i = 0; i < n; ++i) {
+      ComputeTruthMatrixInto(tasks[i], answers_of_task[i],
+                             result.worker_quality, options.quality_clamp,
+                             &result.truth_matrices[i]);
+      result.task_truth[i] =
+          result.truth_matrices[i].LeftMultiply(tasks[i].domain_vector);
+      NormalizeInPlace(result.task_truth[i]);
+    }
+    const std::vector<WorkerQuality> prev_quality = result.worker_quality;
+    for (size_t w = 0; w < num_workers; ++w) {
+      std::vector<double> numer(m, 0.0);
+      std::vector<double> denom(m, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        for (const Answer& answer : answers_of_task[i]) {
+          if (answer.worker != w) continue;
+          const double s_iv = result.task_truth[i][answer.choice];
+          for (size_t k = 0; k < m; ++k) {
+            numer[k] += tasks[i].domain_vector[k] * s_iv;
+            denom[k] += tasks[i].domain_vector[k];
+          }
+        }
+      }
+      double overall_numer = prior * options.default_quality;
+      double overall_denom = prior;
+      for (size_t k = 0; k < m; ++k) {
+        overall_numer += numer[k] + seeded[w].quality[k] * seeded[w].weight[k];
+        overall_denom += denom[k] + seeded[w].weight[k];
+      }
+      const double overall = overall_denom > 0.0
+                                 ? overall_numer / overall_denom
+                                 : options.default_quality;
+      for (size_t k = 0; k < m; ++k) {
+        const double seed_mass = seeded[w].weight[k];
+        const double prior_numer =
+            seeded[w].quality[k] * seed_mass + overall * prior;
+        const double total_mass = denom[k] + (seed_mass + prior);
+        result.worker_quality[w].quality[k] =
+            total_mass > 0.0 ? (numer[k] + prior_numer) / total_mass
+                             : seeded[w].quality[k];
+        result.worker_quality[w].weight[k] = denom[k] + seed_mass;
+      }
+    }
+    double delta = 0.0;
+    if (iter > 0) {
+      double truth_change = 0.0;
+      size_t truth_terms = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < result.task_truth[i].size(); ++j) {
+          truth_change += std::fabs(result.task_truth[i][j] - prev_truth[i][j]);
+          ++truth_terms;
+        }
+      }
+      double quality_change = 0.0;
+      for (size_t w = 0; w < num_workers; ++w) {
+        for (size_t k = 0; k < m; ++k) {
+          quality_change += std::fabs(result.worker_quality[w].quality[k] -
+                                      prev_quality[w].quality[k]);
+        }
+      }
+      delta = truth_change / static_cast<double>(truth_terms) +
+              quality_change / static_cast<double>(num_workers * m);
+      result.delta_history.push_back(delta);
+    }
+    result.iterations_run = iter + 1;
+    if (iter > 0 && delta < options.tolerance) break;
+  }
+  return result;
+}
+
+TEST(TruthInferenceTest, LogTableStepMatchesPerAnswerReference) {
+  // 96 tasks (six ParallelFor chunks) over m = 5 domains with l cycling
+  // through {1, 2, 3, 6}; task 5 gets no answers and worker 7 answers
+  // nothing. Even workers carry golden-style seeds, odd ones the default.
+  const size_t n = 96, m = 5, num_workers = 12;
+  const size_t choice_counts[] = {1, 2, 3, 6};
+  Rng rng(2024);
+  std::vector<Task> tasks(n);
+  for (size_t i = 0; i < n; ++i) {
+    tasks[i].domain_vector = rng.Dirichlet(m, 0.5);
+    tasks[i].num_choices = choice_counts[i % 4];
+  }
+  std::vector<Answer> answers;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 5) continue;
+    for (size_t a = 0; a < 4; ++a) {
+      // Four distinct slots out of the 11 answering workers (all but 7).
+      const size_t slot = (i * 5 + a * 3) % (num_workers - 1);
+      const size_t w = slot < 7 ? slot : slot + 1;
+      answers.push_back({i, w, rng.UniformInt(tasks[i].num_choices)});
+    }
+  }
+  std::vector<WorkerQuality> seeds(num_workers);
+  for (size_t w = 0; w < num_workers; w += 2) {
+    for (size_t k = 0; k < m; ++k) {
+      seeds[w].quality.push_back(rng.UniformDoubleRange(0.3, 0.99));
+      seeds[w].weight.push_back(rng.UniformDoubleRange(0.0, 4.0));
+    }
+  }
+  TruthInferenceOptions options;
+  options.tolerance = 0.0;  // all 20 iterations: the longest comparison
+  const TruthInferenceResult reference =
+      ReferenceEm(tasks, num_workers, answers, seeds, options);
+  ASSERT_EQ(reference.iterations_run, options.max_iterations);
+
+  for (size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    const TruthInferenceResult got =
+        TruthInference(options).Run(tasks, num_workers, answers, &seeds);
+    ASSERT_EQ(got.iterations_run, reference.iterations_run);
+    EXPECT_TRUE(BitEqual(got.delta_history, reference.delta_history));
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(BitEqual(got.task_truth[i], reference.task_truth[i]))
+          << "task " << i;
+      EXPECT_TRUE(BitEqual(got.truth_matrices[i], reference.truth_matrices[i]))
+          << "task " << i;
+    }
+    for (size_t w = 0; w < num_workers; ++w) {
+      EXPECT_TRUE(BitEqual(got.worker_quality[w].quality,
+                           reference.worker_quality[w].quality))
+          << "worker " << w;
+      EXPECT_TRUE(BitEqual(got.worker_quality[w].weight,
+                           reference.worker_quality[w].weight))
+          << "worker " << w;
+    }
+
+    // The incremental engine's rebuild after a full pass: every M^(i) is the
+    // per-answer recompute from the converged qualities.
+    IncrementalTruthInference incremental(tasks, options);
+    incremental.EnsureWorker(num_workers - 1);
+    for (size_t w = 0; w < num_workers; w += 2) {
+      ASSERT_TRUE(incremental.SetWorkerQuality(w, seeds[w]).ok());
+    }
+    std::vector<std::vector<Answer>> answers_of_task(n);
+    for (const Answer& answer : answers) {
+      ASSERT_TRUE(
+          incremental.OnAnswer(answer.worker, answer.task, answer.choice).ok());
+      answers_of_task[answer.task].push_back(answer);
+    }
+    incremental.RunFullInference();
+    std::vector<WorkerQuality> converged;
+    for (size_t w = 0; w < num_workers; ++w) {
+      converged.push_back(incremental.worker_quality(w));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      Matrix expected;
+      ComputeTruthMatrixInto(tasks[i], answers_of_task[i], converged,
+                             options.quality_clamp, &expected);
+      EXPECT_TRUE(BitEqual(incremental.truth_matrix(i), expected))
+          << "task " << i;
+      std::vector<double> truth = expected.LeftMultiply(tasks[i].domain_vector);
+      NormalizeInPlace(truth);
+      EXPECT_TRUE(BitEqual(incremental.task_truth(i), truth)) << "task " << i;
+    }
+  }
 }
 
 }  // namespace

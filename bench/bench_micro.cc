@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks of the hot kernels behind the paper's
 // complexity claims: Algorithm 1 (DVE), the TI step, the OTA benefit
-// computation, golden-count approximation, the worker store and the
-// durable layer's dedup-window memory.
+// computation, golden-count approximation, the worker store, the serving
+// score memo's bytes per (worker, task) pair and the durable layer's
+// dedup-window memory.
 
 #include <benchmark/benchmark.h>
 
@@ -317,9 +318,10 @@ BENCHMARK(BM_DveEndToEnd);
 //               sub-linearity evidence (scripts/bench.sh gates warm ns/op at
 //               100k under 3x the 10k figure; an O(n) warm path would be
 //               ~10x).
-//   WarmScan  — ScoreAllTasks through the warm cache row, then PICK over
-//               every eligible score, same n sweep: the O(n) epoch-scan warm
-//               path the index replaced, for the scaling comparison.
+//   WarmScan  — ScoreAllTasks read off the warm index, then PICK over every
+//               eligible score, same n sweep: the O(n) scan the frontier
+//               walk replaced (and the churn fallback still runs), for the
+//               scaling comparison.
 //   Cold      — every eligible task scored from inference() with the
 //               allocating reference kernel, then PICK: the seed-era serving
 //               path, rescoring every eligible task per request.
@@ -366,8 +368,7 @@ std::unique_ptr<core::DocsSystem> MakeServingSystem(size_t num_tasks) {
 }
 
 // Times `rank` (one ranking pass returning the selected tasks) and reports
-// allocs/op. One untimed pass warms the cache row, the index heap, and the
-// scratch arenas.
+// allocs/op. One untimed pass warms the index heap and the scratch arenas.
 template <typename Rank>
 void CountedRankingLoop(benchmark::State& state, Rank&& rank) {
   benchmark::DoNotOptimize(rank());
@@ -424,7 +425,7 @@ void BM_ServeRequestTasksWarmScan(benchmark::State& state) {
   const size_t worker = system->WorkerIndex("bench_w0");
   CountedRankingLoop(state, [&] {
     const std::vector<double> scores =
-        system->ScoreAllTasks(worker, /*bypass_cache=*/false);
+        system->ScoreAllTasks(worker, /*cold=*/false);
     return RankEligible(*system, worker, [&](size_t i) { return scores[i]; });
   });
 }
@@ -466,6 +467,37 @@ void BM_ServeRequestTasksColdFused(benchmark::State& state) {
   ServeRequestTasksColdLoop(state, &scratch);
 }
 BENCHMARK(BM_ServeRequestTasksColdFused);
+
+// Resident serving bytes per (worker, task) pair: live operator-new bytes
+// after each of 50 fresh workers made her first request over n = 10k tasks,
+// less the live bytes before, over 50·n. The per-worker score memo
+// dominates it (DESIGN.md §16: a 16 B heap entry and a 4 B slot per task);
+// the shared eligibility and scoring scratch add well under 1 B per pair.
+// Measured once per run: a second pass would find every memo built.
+void BM_ServingBytesPerPair(benchmark::State& state) {
+  constexpr size_t kWorkers = 50;
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto system = MakeServingSystem(n);
+  std::vector<size_t> workers;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    workers.push_back(system->WorkerIndex("pair_w" + std::to_string(w)));
+  }
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const int64_t live_before = HeapLiveBytes();
+    for (size_t worker : workers) {
+      benchmark::DoNotOptimize(system->SelectTasks(worker, kServeK));
+    }
+    bytes = HeapLiveBytes() - live_before;
+  }
+  state.counters["B/pair"] =
+      static_cast<double>(bytes) / static_cast<double>(kWorkers * n);
+}
+BENCHMARK(BM_ServingBytesPerPair)
+    ->Arg(10000)
+    ->ArgName("n")
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 // Heap bytes per dedup-window entry of DurableDocsSystem (DESIGN.md §12) at
 // dedup_window = n. The window is filled with n rejected submits (60

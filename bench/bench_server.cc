@@ -22,8 +22,8 @@
 //   --mode         "mixed" (default): request a HIT, answer every task in
 //                  it, repeat — the inference state keeps moving.
 //                  "warm": RequestTasks only, no submissions — the system
-//                  stays quiet, so repeat requests measure the epoch-tagged
-//                  benefit cache's hit path end to end over the wire.
+//                  stays quiet, so repeat requests measure the warm
+//                  benefit index's path end to end over the wire.
 //   --async        self-hosted system runs in async-inference mode
 //                  (DESIGN.md §15): SubmitAnswer enqueues to the background
 //                  inference service, RequestTasks serves from the published
@@ -168,10 +168,10 @@ int main(int argc, char** argv) {
 
   // Closed loop: each thread alternates RequestTasks(4) with submitting
   // every granted task, timing each wire call. In warm mode the submissions
-  // are skipped — the quiet system serves every repeat request from the
-  // benefit cache. Latencies are kept per op type: the headline question for
-  // async mode is what RequestTasks tail latency looks like while
-  // SubmitAnswer keeps the inference state moving.
+  // are skipped — the quiet system serves every repeat request off the
+  // warm benefit index. Latencies are kept per op type: the headline
+  // question for async mode is what RequestTasks tail latency looks like
+  // while SubmitAnswer keeps the inference state moving.
   std::vector<std::vector<double>> request_us(connections);
   std::vector<std::vector<double>> submit_us(connections);
   std::vector<size_t> errors(connections, 0);
@@ -306,8 +306,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  uint64_t row_hits = 0;
-  uint64_t row_misses = 0;
+  uint64_t scores_computed = 0;
   uint64_t request_hits = 0;
   uint64_t request_misses = 0;
   uint64_t index_pops = 0;
@@ -322,8 +321,7 @@ int main(int argc, char** argv) {
   if (gateway.running()) {
     if (async_inference) system.Drain();  // settle the queue before sampling
     const docs::server::GatewayStats stats = gateway.stats();
-    row_hits = stats.benefit_cache_hits;
-    row_misses = stats.benefit_cache_misses;
+    scores_computed = stats.benefit_cache_misses;
     request_hits = stats.benefit_cache_request_hits;
     request_misses = stats.benefit_cache_request_misses;
     index_pops = stats.benefit_index_pops;
@@ -335,8 +333,8 @@ int main(int argc, char** argv) {
     async_pending = stats.async_answers_pending;
     async_enqueue_waits = stats.async_enqueue_waits;
     async_publish_gap_us = stats.async_publish_gap_us;
-    // Hit-rate at request granularity: a serving pass that recomputed
-    // nothing is a hit. Row counts are recomputation volume, not a rate.
+    // Hit-rate at request granularity: a serving pass that computed no
+    // score is a hit. Scores computed are volume, not a rate.
     const uint64_t request_total = request_hits + request_misses;
     const double hit_rate =
         request_total > 0
@@ -348,8 +346,8 @@ int main(int argc, char** argv) {
               << " protocol errors\n"
               << "benefit cache: " << TablePrinter::Fmt(hit_rate * 100.0, 1)
               << "% request hit-rate (" << request_hits << " hits / "
-              << request_misses << " misses); row level: " << row_hits
-              << " hits, " << row_misses << " recomputes\n"
+              << request_misses << " misses); " << scores_computed
+              << " scores computed\n"
               << "benefit index: " << index_pops << " pops, " << index_repairs
               << " repairs, " << index_rebuilds << " rebuilds, "
               << index_invalidations << " generation invalidations\n";
@@ -415,8 +413,7 @@ int main(int argc, char** argv) {
         << ", \"async_answers_pending\": " << async_pending
         << ", \"async_enqueue_waits\": " << async_enqueue_waits
         << ", \"async_publish_gap_us\": " << async_publish_gap_us
-        << ", \"benefit_cache_row_hits\": " << row_hits
-        << ", \"benefit_cache_row_misses\": " << row_misses
+        << ", \"benefit_cache_row_misses\": " << scores_computed
         << ", \"benefit_cache_request_hits\": " << request_hits
         << ", \"benefit_cache_request_misses\": " << request_misses
         << ", \"benefit_cache_hit_rate\": "

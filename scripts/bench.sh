@@ -169,7 +169,7 @@ PY
 
 # --- §16 benefit-index scaling sweep -> BENCH_10.json ------------------------
 # Reuses the bench_micro run above: the WarmSweep (index-served) and WarmScan
-# (warm cache row scan) families cover n = 1k/10k/100k tasks. Both are
+# (scan over the warm index) families cover n = 1k/10k/100k tasks. Both are
 # single-threaded runs of the same binary, so the sub-linearity gate applies
 # on any host.
 python3 - "$TMP/micro.json" "$OUT10" "$QUICK" <<'PY'

@@ -73,10 +73,11 @@ run_config release "" -DCMAKE_BUILD_TYPE=Release
 # other config with them off — both halves of its matrix get covered). The
 # facade suites run here because every serving request goes through the
 # snapshot path, whose index heap audit DOCS_DEBUG_CHECKS compiles in. The
-# storage suites run here because the WAL's contiguous mirror and its
-# torn-tail repair path sit behind the same curated warning set.
+# storage suites run here because the WAL's contiguous mirror, its
+# torn-tail repair path and the checkpoint writer sit behind the same
+# curated warning set.
 run_config strict \
-  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|ranking_oracle_test|inference_service_test|concurrency_test|gateway_test|durability_test|fault_injection_test|persistence_test" \
+  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|ranking_oracle_test|inference_service_test|concurrency_test|gateway_test|durability_test|fault_injection_test|persistence_test|storage_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client
@@ -99,7 +100,7 @@ echo "=== [sanitize] chaos smoke (crash_recovery under ASan) ==="
 # inference_service_test races serving calls and producer threads against
 # the background inference thread and its snapshot publication).
 run_config tsan \
-  "sync_test|parallel_test|determinism_test|benefit_cache_test|benefit_index_test|ranking_oracle_test|inference_service_test|concurrency_test|gateway_test|durability_test|resilient_client_test" \
+  "sync_test|parallel_test|determinism_test|benefit_index_test|ranking_oracle_test|inference_service_test|concurrency_test|gateway_test|durability_test|resilient_client_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=thread
 
 echo "=== [bench] serving-path perf smoke (scripts/bench.sh --quick) ==="

@@ -76,6 +76,32 @@ std::vector<std::string> TokenizeWords(std::string_view text) {
   return out;
 }
 
+void AppendHex(std::string_view raw, std::string* out) {
+  constexpr char kHexDigits[] = "0123456789abcdef";
+  for (unsigned char c : raw) {
+    out->push_back(kHexDigits[c >> 4]);
+    out->push_back(kHexDigits[c & 0xf]);
+  }
+}
+
+bool ParseHex(std::string_view hex, std::string* raw) {
+  auto nibble = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  if (hex.size() % 2 != 0) return false;
+  raw->clear();
+  raw->reserve(hex.size() / 2);
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    const int hi = nibble(hex[i]);
+    const int lo = nibble(hex[i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    raw->push_back(static_cast<char>((hi << 4) | lo));
+  }
+  return true;
+}
+
 std::string ErrnoString(int errnum) {
   char buf[256] = {};
   return UnpackStrerror(::strerror_r(errnum, buf, sizeof(buf)), buf);

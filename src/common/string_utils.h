@@ -26,6 +26,15 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// separator, drops empty tokens.
 std::vector<std::string> TokenizeWords(std::string_view text);
 
+/// Appends `raw` as lowercase hex, two digits per byte. Storage records use
+/// it for external ids, which may hold bytes a space-separated, line-based
+/// record cannot (spaces, tabs, newlines).
+void AppendHex(std::string_view raw, std::string* out);
+
+/// Inverse of AppendHex: false (and `*raw` unspecified) unless `hex` is an
+/// even-length run of lowercase hex digits.
+bool ParseHex(std::string_view hex, std::string* raw);
+
 /// Thread-safe strerror: renders `errnum` into an owned string via
 /// strerror_r. std::strerror returns a pointer into static storage and is
 /// flagged by concurrency-mt-unsafe — every error-formatting site in the

@@ -129,7 +129,7 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
   // Cold path: first contact, golden probes, or a worker not yet servable in
   // the published snapshot. Exclusive over state — serialized against every
   // apply and publish — plus her shard stripe (a concurrent snapshot pass
-  // for the same worker writes her cache row under it), the assign lock
+  // for the same worker syncs her index under it), the assign lock
   // (lease + submission books), and the pool lock (snapshot scorers
   // try-lock it).
   WriterLock lock(&state_mutex_);
@@ -154,8 +154,8 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
 std::vector<size_t> ConcurrentDocsSystem::ServeSnapshot(
     const InferenceSnapshot& snap, size_t worker, size_t k) {
   WorkerShard& shard = shards_[worker % kNumShards];
-  // The shard lock serializes same-row cache access and hands this request
-  // exclusive use of the shard's scoring scratch.
+  // The shard lock serializes access to the worker's index and hands this
+  // request exclusive use of the shard's scoring scratch.
   MutexLock shard_lock(&shard.mutex);
   for (int attempt = 0;; ++attempt) {
     {

@@ -43,7 +43,7 @@ struct AsyncInferenceStats {
 /// scores a pinned, immutable InferenceSnapshot and never takes the state
 /// lock. Its few shared writes are funneled through narrow mutexes:
 ///  - a per-worker shard lock (worker index mod kNumShards) guarding her
-///    cache row, index and reusable scoring scratch, so concurrent requests
+///    benefit index and reusable scoring scratch, so concurrent requests
 ///    from different workers score genuinely in parallel;
 ///  - one assign lock guarding the lease books, logical clock and submission
 ///    books, held only for the O(n) eligibility snapshot and the O(k) grant
@@ -130,7 +130,7 @@ class ConcurrentDocsSystem {
   /// Registered worker ids in registration order.
   std::vector<std::string> WorkerIds() DOCS_EXCLUDES(state_mutex_);
 
-  /// Benefit-cache and benefit-index counters (DESIGN.md §11, §16): relaxed
+  /// Benefit-index counters (DESIGN.md §16): relaxed
   /// atomic loads, no lock — a stats poll never waits behind an apply batch
   /// or an EM pass.
   ServingCounters serving_counters() {
@@ -194,8 +194,8 @@ class ConcurrentDocsSystem {
   /// reactor count, so concurrent requests rarely collide on a shard.
   static constexpr size_t kNumShards = 16;
 
-  /// One lock stripe: guards the scoring scratch below and the benefit-cache
-  /// rows and indexes of every worker hashing to this shard. Cache-line
+  /// One lock stripe: guards the scoring scratch below and the benefit
+  /// indexes of every worker hashing to this shard. Cache-line
   /// aligned so two reactors hammering adjacent shards do not false-share.
   struct alignas(64) WorkerShard {
     Mutex mutex;
@@ -257,8 +257,8 @@ class ConcurrentDocsSystem {
   /// Narrow, documented escape hatch from system_'s GUARDED_BY(state_mutex_)
   /// for the paths that by design run without the state lock. Every member
   /// they reach is protected by a finer lock the caller holds (assign for
-  /// the submission and lease books, the shard stripe for cache rows and
-  /// indexes), is atomic (the serving counters), or is immutable after
+  /// the submission and lease books, the shard stripe for benefit indexes),
+  /// is atomic (the serving counters), or is immutable after
   /// ingest (tasks, options) — see the locking notes on DocsSystem's serving
   /// plumbing.
   DocsSystem& UnlockedSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS {

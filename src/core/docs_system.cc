@@ -34,72 +34,17 @@ ThreadPool* DocsSystem::ScoringPool() {
   return pool_.get();
 }
 
-std::vector<CachedBenefit>* DocsSystem::CacheRow(size_t worker) {
-  if (benefit_cache_.size() <= worker) benefit_cache_.resize(worker + 1);
-  std::vector<CachedBenefit>* row = &benefit_cache_[worker];
-  // Zero-initialized entries carry epoch 0, which live epochs (starting at
-  // 1) never match — a freshly sized row reads as "never scored".
-  if (row->size() != tasks_.size()) row->resize(tasks_.size());
-  return row;
-}
-
 BenefitIndex* DocsSystem::IndexRow(size_t worker) {
   if (benefit_index_.size() <= worker) benefit_index_.resize(worker + 1);
   return &benefit_index_[worker];
 }
 
-double DocsSystem::ScoreOne(size_t task,
-                            const std::function<double(size_t)>& score,
-                            std::vector<CachedBenefit>* cache,
-                            uint64_t worker_epoch,
-                            const uint64_t* task_epochs, uint64_t generation,
-                            std::atomic<bool>* saw_miss) {
-  if (cache == nullptr) return score(task);
-  CachedBenefit& entry = (*cache)[task];
-  const uint64_t task_epoch = task_epochs[task];
-  if (entry.task_epoch == task_epoch && entry.worker_epoch == worker_epoch &&
-      entry.generation == generation) {
-    benefit_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry.benefit;
-  }
-  const double value = score(task);
-  entry = {task_epoch, worker_epoch, generation, value};
-  benefit_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (saw_miss != nullptr) saw_miss->store(true, std::memory_order_relaxed);
-  return value;
-}
-
-std::vector<size_t> DocsSystem::RankCore(
-    const std::vector<uint8_t>& eligible, size_t k,
-    const std::function<double(size_t)>& score,
-    std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-    const uint64_t* task_epochs, uint64_t generation, ThreadPool* pool,
-    std::atomic<bool>* saw_miss) {
-  DOCS_CHECK_EQ(eligible.size(), tasks_.size());
-  std::vector<ScoredTask> scored;
-  scored.reserve(tasks_.size());
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    if (eligible[i]) scored.push_back({i, 0.0});
-  }
-  ParallelFor(pool, scored.size(), [&](size_t s) {
-    scored[s].value = ScoreOne(scored[s].task, score, cache, worker_epoch,
-                               task_epochs, generation, saw_miss);
-  });
-  return SelectTopKFromScored(&scored, k);
-}
-
-std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
-    const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
-    const std::function<double(size_t)>& score,
-    std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-    const uint64_t* task_epochs, uint64_t generation,
-    const std::function<bool(size_t)>& eligible_one, ThreadPool* pool,
-    const InferenceSnapshot* snap, std::atomic<bool>* saw_miss) {
+size_t DocsSystem::SyncIndex(const std::vector<size_t>& answered,
+                             BenefitIndex* index,
+                             const std::function<double(size_t)>& score,
+                             uint64_t worker_epoch, uint64_t generation,
+                             ThreadPool* pool, const InferenceSnapshot* snap) {
   const size_t n = tasks_.size();
-  auto score_one = [&](size_t task) {
-    return ScoreOne(task, score, cache, worker_epoch, task_epochs, generation,
-                    saw_miss);
-  };
   // One change feed: the engine's mutation log, read live on the exclusive
   // path and from the window the snapshot carries on the snapshot path. The
   // cursor is an absolute log sequence number either way, so an index built
@@ -110,76 +55,80 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
   const std::vector<size_t>& log =
       snap == nullptr ? inference_->mutation_log() : snap->mutation_log;
   const uint64_t log_end = log_begin + log.size();
+  size_t scored = 0;
   // Tags fresh + cursor inside the window = replay the tail (nothing, when
   // caught up). A cursor before the window (trimmed log) or past its end (an
   // index the exclusive path built on newer live state than this snapshot)
   // = rebuild. Any entry the index doesn't contain belongs to this worker's
-  // own answered set (excluded at build time); duplicates re-probe a
-  // now-fresh cache entry, which is cheap and idempotent.
+  // own answered set (excluded at build time).
   if (index->Fresh(worker_epoch, generation, n) &&
       index->cursor() >= log_begin && index->cursor() <= log_end) {
-    size_t repaired = 0;
     for (uint64_t seq = index->cursor(); seq < log_end; ++seq) {
       const size_t task = log[seq - log_begin];
       if (!index->contains(task)) continue;
-      index->Repair(task, score_one(task));
-      ++repaired;
+      index->Repair(task, score(task));
+      ++scored;
     }
     index->set_cursor(log_end);
-    if (repaired > 0) {
-      benefit_index_repairs_.fetch_add(repaired, std::memory_order_relaxed);
+    if (scored > 0) {
+      benefit_index_repairs_.fetch_add(scored, std::memory_order_relaxed);
     }
   } else {
     // Rebuilds leave out the worker's booked answers: they can never become
     // eligible again, so indexing them would waste scoring and, worse, make
     // the frontier walk skip them on every pass until its budget runs out.
-    index->Rebuild(n, worker_epoch, generation, log_end, &answered, score_one,
+    index->Rebuild(n, worker_epoch, generation, log_end, &answered, score,
                    pool);
+    scored = index->size();
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
 #if DOCS_DEBUG_CHECKS
   index->CheckInvariant();
 #endif
-  std::vector<size_t> selected;
-  uint64_t pops = 0;
-  // The frontier walk may skip ineligible entries (leased-out tasks, capped
-  // tasks, the answered set on the snapshot path); past this budget the pass
-  // is churn-bound and the O(n) scan is the better tool.
-  const size_t budget = std::max<size_t>(64, 8 * k);
-  const bool complete =
-      index->TrySelect(eligible_one, k, budget, &selected, &pops);
-  benefit_index_pops_.fetch_add(pops, std::memory_order_relaxed);
-  if (!complete) return std::nullopt;
-  return selected;
+  if (scored > 0) {
+    benefit_cache_misses_.fetch_add(scored, std::memory_order_relaxed);
+  }
+  return scored;
+}
+
+std::vector<size_t> DocsSystem::RankCore(const std::vector<uint8_t>& eligible,
+                                         size_t k, const BenefitIndex& index) {
+  DOCS_CHECK_EQ(eligible.size(), tasks_.size());
+  std::vector<ScoredTask> scored;
+  scored.reserve(tasks_.size());
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    if (eligible[i]) scored.push_back({i, index.value(i)});
+  }
+  return SelectTopKFromScored(&scored, k);
 }
 
 std::vector<size_t> DocsSystem::RankWithIndex(
     const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
-    const std::function<double(size_t)>& score,
-    std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-    const uint64_t* task_epochs, uint64_t generation,
-    const std::function<bool(size_t)>& eligible_one,
+    const std::function<double(size_t)>& score, uint64_t worker_epoch,
+    uint64_t generation, const std::function<bool(size_t)>& eligible_one,
     const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
     ThreadPool* pool, const InferenceSnapshot* snap) {
   // A request for nothing ranks nothing: no rebuild, no repair, no tally.
   if (k == 0) return {};
-  // One saw-miss flag spans the repair phase AND the scan fallback: a pass
-  // that recomputed any score anywhere is a request miss.
-  std::atomic<bool> saw_miss{false};
-  auto ranked = TryRankViaIndex(answered, index, k, score, cache, worker_epoch,
-                                task_epochs, generation, eligible_one, pool,
-                                snap, &saw_miss);
-  std::vector<size_t> selected =
-      ranked.has_value()
-          ? std::move(*ranked)
-          : RankCore(eligible_bitmap(), k, score, cache, worker_epoch,
-                     task_epochs, generation, pool, &saw_miss);
+  const size_t scored =
+      SyncIndex(answered, index, score, worker_epoch, generation, pool, snap);
+  std::vector<size_t> selected;
+  uint64_t pops = 0;
+  // The frontier walk may skip ineligible entries (leased-out tasks, capped
+  // tasks, the answered set on the snapshot path); past this budget the pass
+  // is churn-bound and the O(n) scan over the index's values is the better
+  // tool.
+  const size_t budget = std::max<size_t>(64, 8 * k);
+  if (!index->TrySelect(eligible_one, k, budget, &selected, &pops)) {
+    selected = RankCore(eligible_bitmap(), k, *index);
+  }
+  benefit_index_pops_.fetch_add(pops, std::memory_order_relaxed);
   // Request-level accounting: the whole pass is one lookup from the serving
-  // path's point of view — fully cache-served or not. A pass that found no
-  // eligible task served nothing and is not counted, whichever route ran:
-  // with k > 0 both routes return a task iff one was eligible.
+  // path's point of view — served from the index as it stood or not. A pass
+  // that found no eligible task served nothing and is not counted, whichever
+  // route ran: with k > 0 both routes return a task iff one was eligible.
   if (!selected.empty()) {
-    if (saw_miss.load(std::memory_order_relaxed)) {
+    if (scored > 0) {
       benefit_cache_request_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
       benefit_cache_request_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -335,14 +284,13 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
 
   // All four rules share the same shape — rank eligible tasks by score, take
   // the top k — so they all route through RankWithIndex: the per-worker
-  // benefit index when it can serve the request (DESIGN.md §16), otherwise
-  // the deterministic parallel scan over the epoch-tagged benefit cache.
+  // benefit index's frontier walk (DESIGN.md §16), or the scan over the
+  // index's values when churn exhausts the walk.
   auto selected = RankWithIndex(
       Booked(worker), IndexRow(worker), k,
       MakeScoreFn(inference_->worker_quality(worker).quality, nullptr,
                   quality_scratch_),
-      CacheRow(worker), inference_->worker_epoch(worker),
-      inference_->task_epochs().data(), inference_->generation(),
+      inference_->worker_epoch(worker), inference_->generation(),
       eligible_one, eligible_bitmap, ScoringPool(), nullptr);
   GrantLeases(worker, selected);
   return selected;
@@ -450,20 +398,31 @@ bool DocsSystem::CommitShardedSelect(size_t worker,
   return true;
 }
 
-std::vector<double> DocsSystem::ScoreAllTasks(size_t worker,
-                                              bool bypass_cache) {
+std::vector<double> DocsSystem::ScoreAllTasks(size_t worker, bool cold) {
   std::vector<double> scores(tasks_.size(), 0.0);
   if (worker >= workers_.size() || inference_ == nullptr) return scores;
   const std::function<double(size_t)> score = MakeScoreFn(
       inference_->worker_quality(worker).quality, nullptr, quality_scratch_);
-  std::vector<CachedBenefit>* cache = bypass_cache ? nullptr : CacheRow(worker);
-  const uint64_t worker_epoch = inference_->worker_epoch(worker);
-  const uint64_t generation = inference_->generation();
-  ParallelFor(ScoringPool(), tasks_.size(), [&](size_t i) {
-    // Not a serving pass: skip the request-level tally.
-    scores[i] = ScoreOne(i, score, cache, worker_epoch,
-                         inference_->task_epochs().data(), generation, nullptr);
-  });
+  if (cold) {
+    ParallelFor(ScoringPool(), tasks_.size(),
+                [&](size_t i) { scores[i] = score(i); });
+    return scores;
+  }
+  // Not a serving pass: the index syncs as a request would, but the
+  // request-level tally does not move.
+  BenefitIndex* index = IndexRow(worker);
+  SyncIndex(Booked(worker), index, score, inference_->worker_epoch(worker),
+            inference_->generation(), ScoringPool(), nullptr);
+  uint64_t excluded = 0;
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    if (index->contains(i)) {
+      scores[i] = index->value(i);
+    } else {
+      scores[i] = score(i);
+      ++excluded;
+    }
+  }
+  benefit_cache_misses_.fetch_add(excluded, std::memory_order_relaxed);
   return scores;
 }
 
@@ -658,7 +617,6 @@ Status DocsSystem::ApplyAnswer(size_t worker, size_t task, size_t choice) {
 ServingCounters DocsSystem::serving_counters() const {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   ServingCounters out;
-  out.benefit_cache_hits = benefit_cache_hits_.load(kRelaxed);
   out.benefit_cache_misses = benefit_cache_misses_.load(kRelaxed);
   out.benefit_cache_request_hits = benefit_cache_request_hits_.load(kRelaxed);
   out.benefit_cache_request_misses =
@@ -719,18 +677,17 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
 
   snap->workers.resize(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) {
-    // CacheRow/IndexRow size the rows under the exclusive lock held here, so
-    // the snapshot path never has to (row growth is exclusive-path work).
-    // The row objects' addresses are stable for the system's lifetime
-    // (deque) — safe to publish.
-    std::vector<CachedBenefit>* row = CacheRow(w);
+    // IndexRow grows the container under the exclusive lock held here, so
+    // the snapshot path never has to (growth is exclusive-path work). An
+    // index's address is stable for the system's lifetime (deque) — safe to
+    // publish.
     BenefitIndex* index = IndexRow(w);
     const uint64_t epoch = inference_->worker_epoch(w);
     const bool servable = workers_[w].golden_done;
     if (same_generation && w < prev->workers.size() &&
         prev->workers[w] != nullptr && prev->workers[w]->epoch == epoch &&
         prev->workers[w]->servable == servable &&
-        prev->workers[w]->cache_row == row && prev->workers[w]->index == index) {
+        prev->workers[w]->index == index) {
       snap->workers[w] = prev->workers[w];
       continue;
     }
@@ -738,7 +695,6 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
     view->quality = inference_->worker_quality(w).quality;
     view->epoch = epoch;
     view->servable = servable;
-    view->cache_row = row;
     view->index = index;
     snap->workers[w] = std::move(view);
   }
@@ -749,10 +705,10 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
     const InferenceSnapshot& snap, size_t worker, ShardScratch& scratch,
     size_t k, ThreadPool* pool) {
   const WorkerSnapshot& view = *snap.workers[worker];
-  // The cache keys on the snapshot-copied epochs: epochs are monotonic, so
-  // an entry written against a newer snapshot (or by the exclusive path)
-  // self-invalidates here, and a hit always reproduces the score this
-  // snapshot's posteriors would yield.
+  // The index syncs against the snapshot's worker epoch, generation and
+  // mutation-log window: an index built on newer state (its cursor past the
+  // window's end) rebuilds here, so every score it serves is the one this
+  // snapshot's posteriors yield.
   const std::function<double(size_t)> score =
       MakeScoreFn(view.quality, &snap, scratch.quality);
   // Eligibility was frozen into the scratch bitmap under the assign lock
@@ -764,9 +720,9 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(scratch.answered, view.index, k, score, view.cache_row,
-                       view.epoch, snap.task_epochs.data(), snap.generation,
-                       eligible_one, eligible_bitmap, pool, &snap);
+  return RankWithIndex(scratch.answered, view.index, k, score, view.epoch,
+                       snap.generation, eligible_one, eligible_bitmap, pool,
+                       &snap);
 }
 
 void DocsSystem::OnAnswer(size_t worker, size_t task, size_t choice) {

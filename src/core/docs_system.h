@@ -61,17 +61,17 @@ struct ExpiredLease {
   uint64_t deadline = 0;
 };
 
-/// Benefit-cache and benefit-index effectiveness counters (DESIGN.md §11,
-/// §16), monotonic over the system's lifetime.
+/// Benefit-index effectiveness counters (DESIGN.md §16), monotonic over the
+/// system's lifetime.
 struct ServingCounters {
-  /// Row level: individual (worker, task) scores answered from a still-valid
-  /// cache entry vs. recomputed. One serving request touches O(n) rows, so
-  /// these are the wrong unit for a hit-*rate*.
-  uint64_t benefit_cache_hits = 0;
+  /// Benefit scores computed: every kernel call an index rebuild or repair
+  /// makes, plus the cold scores ScoreAllTasks(w, false) computes for tasks
+  /// the index excludes. One serving request can compute O(n) of them, so
+  /// this is the wrong unit for a hit-*rate*.
   uint64_t benefit_cache_misses = 0;
   /// Request level: one count per serving scoring pass that granted at least
-  /// one task. A pass that recomputed nothing — every score it needed served
-  /// from the cache or the index — is a hit; one that recomputed at least
+  /// one task. A pass that computed no score — everything it needed was
+  /// already in the worker's index — is a hit; one that computed at least
   /// one score is a miss. hit / (hit + miss) is the hit-rate a dashboard
   /// should display. Golden-phase grants, passes that found no eligible
   /// task, k = 0 requests and ScoreAllTasks do not count.
@@ -84,8 +84,8 @@ struct ServingCounters {
   uint64_t benefit_index_pops = 0;
   uint64_t benefit_index_repairs = 0;
   uint64_t benefit_index_rebuilds = 0;
-  /// Full re-inference runs, each of which staled every cache row and index
-  /// with one generation bump (the engine's generation - 1).
+  /// Full re-inference runs, each of which staled every index with one
+  /// generation bump (the engine's generation - 1).
   uint64_t benefit_index_generation_invalidations = 0;
 };
 
@@ -221,12 +221,14 @@ class DocsSystem : public AssignmentPolicy {
   ServingCounters serving_counters() const;
 
   /// Scores every task for `worker` under the configured selection rule and
-  /// returns the raw scores (ignoring eligibility). With `bypass_cache` the
-  /// pass recomputes from live inference state without reading or writing
-  /// the benefit cache; without it, the pass reads and refreshes the
-  /// worker's cache row (and moves the row-level counters). The ranking
-  /// oracle suite asserts both passes bitwise equal to a test-side scan.
-  std::vector<double> ScoreAllTasks(size_t worker, bool bypass_cache);
+  /// returns the raw scores (ignoring eligibility). With `cold` the pass
+  /// scores every task from live inference state without touching the
+  /// worker's benefit index; without it, the pass syncs the index (moving
+  /// the index counters and benefit_cache_misses), reads every indexed score
+  /// off it, and scores cold only the tasks the index excludes (her booked
+  /// answers). The ranking oracle suite asserts both passes bitwise equal to
+  /// a test-side scan.
+  std::vector<double> ScoreAllTasks(size_t worker, bool cold);
 
   /// Re-runs the full iterative inference over all stored answers, restarting
   /// from the workers' seed profiles. The result depends only on (tasks,
@@ -240,18 +242,20 @@ class DocsSystem : public AssignmentPolicy {
   /// and therefore inference's float summation order — are reproduced.
   std::vector<std::string> WorkerIds() const;
 
-  // --- Serving plumbing (DESIGN.md §13-§15) --------------------------------
+  // --- Serving plumbing (DESIGN.md §13-§16) --------------------------------
   // ConcurrentDocsSystem serves every post-golden request from a published
   // InferenceSnapshot in three phases — eligibility → score → commit — so
   // the scoring phase of several workers runs genuinely in parallel without
-  // the state lock. A submission is split the same way: validate + book
-  // (what the serving phases read) and apply (what the snapshot is built
-  // from). Locking contract (enforced by the facade, not checked here):
+  // the state lock. Scoring syncs and reads the worker's benefit index, the
+  // one memo of her benefit scores. A submission is split the same way:
+  // validate + book (what the serving phases read) and apply (what the
+  // snapshot is built from). Locking contract (enforced by the facade, not
+  // checked here):
   //  - the submission books, the lease books and the clock are guarded by
   //    the facade's assign lock: ValidateAnswer, BookAnswer,
   //    BeginShardedSelect and CommitShardedSelect hold it;
-  //  - ScoreAndRankSnapshot holds the worker's shard lock (the pass reads
-  //    and refreshes her cache row and index) and no state lock;
+  //  - ScoreAndRankSnapshot holds the worker's shard lock (the pass syncs
+  //    and reads her benefit index) and no state lock;
   //  - ApplyAnswer and BuildSnapshot hold the exclusive state lock.
 
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
@@ -317,8 +321,8 @@ class DocsSystem : public AssignmentPolicy {
 
   /// Builds the next snapshot copy-on-write against `prev`: tasks and
   /// workers whose inference epochs are unchanged share the previous
-  /// snapshot's immutable pieces. Also sizes every registered worker's
-  /// benefit-cache row and index so the snapshot path can serve her.
+  /// snapshot's immutable pieces. Also creates every registered worker's
+  /// benefit index so the snapshot path can serve her.
   std::shared_ptr<const InferenceSnapshot> BuildSnapshot(
       const InferenceSnapshot* prev);
 
@@ -362,66 +366,41 @@ class DocsSystem : public AssignmentPolicy {
       const std::vector<double>& worker_quality, const InferenceSnapshot* snap,
       std::vector<double>& quality);
 
-  /// The scan ranking core: scores every eligible task (over `pool` when
-  /// non-null), maintains the row-level cache counters, and returns the
-  /// ordered top-k through the shared PICK helper. `task_epochs` keys the
-  /// cache: the live engine's epochs on the exclusive path, the published
-  /// snapshot's copy on the snapshot path.
+  /// Syncs `index` to (worker_epoch, generation) and returns how many
+  /// scores that computed: a full rebuild (leaving out the worker's
+  /// `answered` tasks, ascending; scored over `pool`) on a tag mismatch or a
+  /// cursor outside the mutation-log window, targeted repairs from the window
+  /// otherwise. The window is the live engine's (`snap` null) or the one the
+  /// snapshot carries. Adds the count to benefit_cache_misses.
+  size_t SyncIndex(const std::vector<size_t>& answered, BenefitIndex* index,
+                   const std::function<double(size_t)>& score,
+                   uint64_t worker_epoch, uint64_t generation,
+                   ThreadPool* pool, const InferenceSnapshot* snap);
+
+  /// The scan fallback: every task `eligible` marks, valued from the synced
+  /// `index` (which contains them all — the tasks it leaves out are booked
+  /// answers, and a booked answer never becomes eligible again), ordered by
+  /// the shared PICK helper. Scores nothing.
   std::vector<size_t> RankCore(const std::vector<uint8_t>& eligible, size_t k,
-                               const std::function<double(size_t)>& score,
-                               std::vector<CachedBenefit>* cache,
-                               uint64_t worker_epoch,
-                               const uint64_t* task_epochs,
-                               uint64_t generation, ThreadPool* pool,
-                               std::atomic<bool>* saw_miss);
+                               const BenefitIndex& index);
 
-  /// The index-accelerated ranking attempt (DESIGN.md §16): syncs `index` to
-  /// (worker_epoch, generation) — full rebuild (leaving out the worker's
-  /// `answered` tasks, ascending) on a tag mismatch or a cursor outside the
-  /// mutation-log window, targeted repairs from the window otherwise; the
-  /// window is the live engine's (`snap` null) or the one the snapshot
-  /// carries — then reads the top-k eligible tasks off the heap. nullopt
-  /// when the frontier walk exceeded its skip budget; the caller falls back
-  /// to the bit-identical scan.
-  std::optional<std::vector<size_t>> TryRankViaIndex(
-      const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
-      const std::function<double(size_t)>& score,
-      std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-      const uint64_t* task_epochs, uint64_t generation,
-      const std::function<bool(size_t)>& eligible_one, ThreadPool* pool,
-      const InferenceSnapshot* snap, std::atomic<bool>* saw_miss);
-
-  /// The one ranking front door every serving path uses: tries the index,
-  /// falls back to the scan over `eligible_bitmap()` (built lazily — the
-  /// index fast path never pays the O(n) bitmap fill), and tallies the
-  /// request-level cache counters across whichever path served. k = 0
-  /// returns at once.
+  /// The one ranking front door every serving path uses (DESIGN.md §16):
+  /// syncs the index, reads the top-k eligible tasks off the heap, and when
+  /// the frontier walk exceeds its skip budget falls back to the scan over
+  /// `eligible_bitmap()` (built lazily — the index fast path never pays the
+  /// O(n) bitmap fill). Tallies the request-level counters. k = 0 returns
+  /// at once.
   std::vector<size_t> RankWithIndex(
       const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
-      const std::function<double(size_t)>& score,
-      std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-      const uint64_t* task_epochs, uint64_t generation,
-      const std::function<bool(size_t)>& eligible_one,
+      const std::function<double(size_t)>& score, uint64_t worker_epoch,
+      uint64_t generation, const std::function<bool(size_t)>& eligible_one,
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
       ThreadPool* pool, const InferenceSnapshot* snap);
-
-  /// The worker's benefit-cache row sized to the task count.
-  std::vector<CachedBenefit>* CacheRow(size_t worker);
 
   /// The worker's benefit index, growing the container as needed (exclusive
   /// path only — the snapshot path reaches the index through its published
   /// pointer).
   BenefitIndex* IndexRow(size_t worker);
-
-  /// One cached score: probes `cache` (nullptr = score uncached) under the
-  /// (task, worker, generation) key, recomputing and refreshing the entry on
-  /// a miss (recorded in `*saw_miss` when provided). Thread-safe across
-  /// distinct `task` values: each task owns its cache slot and the counters
-  /// are atomic.
-  double ScoreOne(size_t task, const std::function<double(size_t)>& score,
-                  std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-                  const uint64_t* task_epochs, uint64_t generation,
-                  std::atomic<bool>* saw_miss);
 
   /// Registration check + ValidateAnswer + BookAnswer: the admission step
   /// shared by SubmitAnswer and checkpoint replay.
@@ -469,19 +448,12 @@ class DocsSystem : public AssignmentPolicy {
   std::vector<std::vector<size_t>> answered_;
   std::vector<size_t> answers_per_task_;
   std::unique_ptr<ThreadPool> pool_;  // see ScoringPool()
-  /// Per-worker rows of the epoch-tagged benefit cache, lazily sized on the
-  /// worker's first scoring pass (DESIGN.md §11). Entries self-invalidate by
-  /// epoch mismatch; nothing is ever erased. A deque (not a vector) so a row
-  /// keeps its address when later workers register — published snapshots
-  /// carry raw row pointers (DESIGN.md §15) and must never dangle.
-  std::deque<std::vector<CachedBenefit>> benefit_cache_;
-  /// Per-worker benefit indexes over the cache rows (DESIGN.md §16), same
-  /// container discipline as benefit_cache_: a deque so an index keeps its
-  /// address when later workers register — published snapshots carry raw
-  /// index pointers and must never dangle. Grown on the exclusive path only
+  /// Per-worker benefit indexes (DESIGN.md §16), the one memo of benefit
+  /// scores. A deque (not a vector) so an index keeps its address when later
+  /// workers register — published snapshots carry raw index pointers
+  /// (DESIGN.md §15) and must never dangle. Grown on the exclusive path only
   /// (IndexRow); contents guarded by the worker's shard stripe.
   std::deque<BenefitIndex> benefit_index_;
-  std::atomic<uint64_t> benefit_cache_hits_{0};
   std::atomic<uint64_t> benefit_cache_misses_{0};
   std::atomic<uint64_t> benefit_cache_request_hits_{0};
   std::atomic<uint64_t> benefit_cache_request_misses_{0};

@@ -187,12 +187,12 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   answered.insert(std::lower_bound(answered.begin(), answered.end(), task),
                   task);
 
-  // Epoch bumps for the benefit cache: this task's inference state moved
-  // (step 1), and so did the quality vector of the submitting worker and of
-  // every retro-updated prior worker (step 2). The prior list names each
-  // worker at most once (one answer per (worker, task)), so nobody is bumped
-  // twice for one submission. The task also lands in the mutation log so
-  // benefit indexes can repair it in place instead of rebuilding.
+  // Epoch bumps: this task's inference state moved (step 1), and so did the
+  // quality vector of the submitting worker and of every retro-updated prior
+  // worker (step 2). The prior list names each worker at most once (one
+  // answer per (worker, task)), so nobody is bumped twice for one
+  // submission. The task also lands in the mutation log so benefit indexes
+  // can repair it in place instead of rebuilding.
   ++task_epoch_[task];
   if (mutation_log_.size() >= kMutationLogCapacity) {
     mutation_log_begin_ += mutation_log_.size();
@@ -215,8 +215,8 @@ void IncrementalTruthInference::RecomputeTask(size_t task,
   truth_matrices_[task].LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
   NormalizeInPlace(task_truth_[task]);
   // No epoch bump here: RecomputeTask only runs inside the RunFullInference
-  // fan-out, whose single generation bump already invalidates every cached
-  // score in O(1) — walking the epoch array again would defeat that.
+  // fan-out, whose single generation bump already invalidates every benefit
+  // index in O(1) — walking the epoch array again would defeat that.
   DOCS_DCHECK_SIMPLEX(task_truth_[task], 1e-6,
                       "recomputed task truth (Eq. 4)");
 }
@@ -245,7 +245,7 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   // O(1) invalidation: the batch re-run replaces every quality vector and
   // every posterior at once, so instead of walking all task and worker
   // epochs (the pre-§16 behavior) a single generation bump stales every
-  // cached (task, worker) benefit and every benefit index. The mutation log
+  // benefit index. The mutation log
   // is trimmed too — the entries it held are subsumed by the rebuilds the
   // generation bump forces.
   ++generation_;

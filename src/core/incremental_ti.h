@@ -85,17 +85,17 @@ class IncrementalTruthInference {
   const std::vector<size_t>& answered_tasks(size_t worker) const;
 
   /// Version tag of task `task`'s inference state (M^(i), s_i). Bumped by
-  /// OnAnswer only; starts at 1. Together with worker_epoch AND generation()
-  /// it keys the OTA benefit cache (DESIGN.md §11/§16): a cached benefit is
-  /// valid exactly while all three are unchanged. The batch re-run
-  /// (RunFullInference) replaces every posterior WITHOUT walking the epoch
-  /// arrays — it bumps the generation instead, which invalidates everything
-  /// in O(1).
+  /// OnAnswer only; starts at 1. A (worker, task) benefit is valid exactly
+  /// while the task epoch, worker_epoch AND generation() are unchanged
+  /// (DESIGN.md §11/§16); snapshot publication compares task epochs to share
+  /// unchanged posterior chunks. The batch re-run (RunFullInference)
+  /// replaces every posterior WITHOUT walking the epoch arrays — it bumps
+  /// the generation instead, which invalidates everything in O(1).
   uint64_t task_epoch(size_t task) const { return task_epoch_[task]; }
 
   /// The full per-task epoch array (indexed by task); snapshot publication
-  /// copies it wholesale so the async serving path keys the benefit cache
-  /// without touching live engine state.
+  /// copies it wholesale so the next publish can tell which posterior
+  /// chunks moved.
   const std::vector<uint64_t>& task_epochs() const { return task_epoch_; }
 
   /// Version tag of `worker`'s quality vector; starts at 1. Bumped whenever
@@ -107,8 +107,8 @@ class IncrementalTruthInference {
   /// Global invalidation generation; starts at 1. Bumped once — a single
   /// counter increment, not a per-task or per-worker walk — by every
   /// RunFullInference, which replaces all posteriors and all quality vectors
-  /// at once. Cache entries and benefit indexes carry the generation they
-  /// were built under and go stale the moment it moves (DESIGN.md §16).
+  /// at once. Benefit indexes carry the generation they were built under
+  /// and go stale the moment it moves (DESIGN.md §16).
   uint64_t generation() const { return generation_; }
 
   /// Targeted-repair feed for the per-worker benefit indexes (DESIGN.md

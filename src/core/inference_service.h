@@ -22,25 +22,21 @@ struct TaskPosteriorSnapshot {
   std::vector<double> truth;
 };
 
-/// One worker's serving view as of a publish. `cache_row` points at the
-/// worker's live benefit-cache row — the row's *address* is publish-stable
-/// (rows are never moved or resized once sized; DESIGN.md §15) and access to
-/// its contents stays guarded by the worker's shard stripe.
+/// One worker's serving view as of a publish (DESIGN.md §15).
 struct WorkerSnapshot {
   std::vector<double> quality;
-  /// The worker's inference epoch at publish time; cache entries written by
-  /// the snapshot scoring path carry it, so they self-invalidate the moment
-  /// a newer snapshot (or the exclusive path) observes a later epoch.
+  /// The worker's inference epoch at publish time. The snapshot scoring path
+  /// tags the worker's index with it, so the index goes stale the moment a
+  /// newer snapshot (or the exclusive path) observes a later epoch.
   uint64_t epoch = 0;
   /// True when the snapshot path may serve this worker: registered and past
   /// the golden probe (the probe mutates her profile — exclusive-path work).
   bool servable = false;
-  std::vector<CachedBenefit>* cache_row = nullptr;
-  /// The worker's live benefit index (DESIGN.md §16), published by pointer
-  /// for the same reason as cache_row: the object's address is stable (deque
-  /// row) and its contents stay guarded by the worker's shard stripe.
-  /// Indexing the owner's container from the lock-free snapshot path would
-  /// race container growth; the pointer cannot.
+  /// The worker's live benefit index (DESIGN.md §16), published by pointer:
+  /// the object's *address* is publish-stable (a deque element, never moved)
+  /// and its contents stay guarded by the worker's shard stripe. Indexing
+  /// the owner's container from the lock-free snapshot path would race
+  /// container growth; the pointer cannot.
   BenefitIndex* index = nullptr;
 };
 
@@ -56,13 +52,13 @@ struct InferenceSnapshot {
   /// Answers absorbed by the engine when this snapshot was built; the
   /// staleness of a serving decision is answers_enqueued - answers_applied.
   uint64_t answers_applied = 0;
-  /// Per-task inference epochs at publish time; keys the benefit cache on
-  /// the snapshot scoring path (DESIGN.md §11 semantics, snapshot edition).
+  /// Per-task inference epochs at publish time; the next publish compares
+  /// them to decide which task chunks it can share (DESIGN.md §11, §15).
   std::vector<uint64_t> task_epochs;
   /// The engine's invalidation generation at publish time (DESIGN.md §16):
   /// a full re-inference replaces every posterior without bumping the task
-  /// epochs, so both the copy-on-write sharing below and the cache/index
-  /// keys on the serving path must compare the generation too.
+  /// epochs, so both the copy-on-write sharing below and the index tags on
+  /// the serving path must compare the generation too.
   uint64_t generation = 0;
   /// The engine's mutation-log window at publish time (DESIGN.md §16): the
   /// tasks whose posterior moved at absolute sequence numbers

@@ -266,8 +266,8 @@ void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
     }
     heap_.push_back({task, 0.0});
   }
-  // Each slot is scored independently (its own cache entry, per-thread
-  // kernel scratch), so the fan-out is thread-count invariant.
+  // Each slot is scored independently (per-thread kernel scratch), so the
+  // fan-out is thread-count invariant.
   ParallelFor(pool, heap_.size(),
               [&](size_t s) { heap_[s].value = score(heap_[s].task); });
   for (size_t s = 0; s < heap_.size(); ++s) {

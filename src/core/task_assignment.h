@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "common/matrix.h"
 #include "common/parallel.h"
 #include "core/types.h"
@@ -78,22 +79,6 @@ double BenefitOfSetBruteForce(const std::vector<Task>& tasks,
                               const std::vector<double>& worker_quality,
                               double quality_clamp = 0.01);
 
-/// One memoized benefit score of the epoch-tagged benefit cache. A task's
-/// benefit for a given worker depends only on the task's inference state
-/// (truth matrix + truth vector, versioned by a task epoch) and the worker's
-/// quality vector (versioned by a worker epoch), so a cached score is valid
-/// exactly while both epochs — and the engine's global invalidation
-/// generation, which a full re-inference bumps instead of walking the epoch
-/// arrays — still match. Live epochs start at 1; the zero-initialized entry
-/// therefore never matches and reads as "never scored". Invalidation rules
-/// are documented in DESIGN.md §11 and §16.
-struct CachedBenefit {
-  uint64_t task_epoch = 0;
-  uint64_t worker_epoch = 0;
-  uint64_t generation = 0;
-  double benefit = 0.0;
-};
-
 /// One scored task, shared by every top-k selection path: the scan fallback,
 /// the PICK helper below, and the per-worker benefit index's heap order.
 struct ScoredTask {
@@ -119,8 +104,9 @@ inline bool BetterScored(const ScoredTask& a, const ScoredTask& b) {
 std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
                                          size_t k);
 
-/// Per-worker ordered benefit index (DESIGN.md §16): a binary max-heap over
-/// the worker's cached benefit scores, ordered by BetterScored, plus a
+/// Per-worker ordered benefit index (DESIGN.md §16), the one memo of a
+/// worker's benefit scores: a binary max-heap over them, ordered by
+/// BetterScored, plus a
 /// task -> heap-slot map so a stale score can be repaired in place (sift) in
 /// O(log n). A fully warm RequestTasks then reads the top k eligible tasks
 /// off the heap in O(k log n) instead of scanning and nth_element-ing all n
@@ -154,6 +140,12 @@ class BenefitIndex {
   size_t size() const { return heap_.size(); }
   bool contains(size_t task) const {
     return task < pos_.size() && pos_[task] != 0;
+  }
+  /// The indexed score of `task`, which the index must contain. The scan
+  /// fallback reads every eligible task's score here instead of rescoring.
+  double value(size_t task) const {
+    DOCS_DCHECK(contains(task)) << "task " << task << " is not indexed";
+    return heap_[pos_[task] - 1].value;
   }
 
   /// Rebuilds the heap from scratch for the given tags: every task except

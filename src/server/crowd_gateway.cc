@@ -234,7 +234,6 @@ GatewayStats CrowdGateway::stats() const {
   out.connections_rejected += connections_rejected_.load();
   out.faults_injected += faults_injected_.load();
   const core::ServingCounters counters = system_->serving_counters();
-  out.benefit_cache_hits = counters.benefit_cache_hits;
   out.benefit_cache_misses = counters.benefit_cache_misses;
   out.benefit_cache_request_hits = counters.benefit_cache_request_hits;
   out.benefit_cache_request_misses = counters.benefit_cache_request_misses;

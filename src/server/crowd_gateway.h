@@ -68,12 +68,12 @@ struct GatewayStats {
   uint64_t protocol_errors = 0;
   uint64_t faults_injected = 0;
   uint64_t leases_expired = 0;
-  /// Benefit-cache effectiveness of the wrapped system (DESIGN.md §11),
-  /// sampled at stats() time. Row-level counts score recomputations;
-  /// request-level counts whole scoring passes — hit-rate dashboards want
+  /// Scoring effectiveness of the wrapped system (DESIGN.md §16), sampled
+  /// at stats() time. `benefit_cache_misses` counts benefit scores computed;
+  /// the request-level pair counts whole scoring passes that computed none
+  /// (hit) or some (miss) — hit-rate dashboards want
   /// request_hits / (request_hits + request_misses). Local observability
   /// only — the frozen wire Stats response does not carry these.
-  uint64_t benefit_cache_hits = 0;
   uint64_t benefit_cache_misses = 0;
   uint64_t benefit_cache_request_hits = 0;
   uint64_t benefit_cache_request_misses = 0;

@@ -11,15 +11,6 @@
 namespace docs::storage {
 namespace {
 
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-void AppendHex(const std::string& raw, std::string* out) {
-  for (unsigned char c : raw) {
-    out->push_back(kHexDigits[c >> 4]);
-    out->push_back(kHexDigits[c & 0xf]);
-  }
-}
-
 std::string ToHex(const std::string& raw) {
   std::string out;
   out.reserve(raw.size() * 2);
@@ -36,25 +27,6 @@ void AppendDedupPayload(const std::string& worker_id, uint64_t request_id,
   out->append(StatusCodeToString(code));
   out->push_back(' ');
   AppendHex(worker_id, out);
-}
-
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-bool FromHex(const std::string& hex, std::string* raw) {
-  if (hex.size() % 2 != 0) return false;
-  raw->clear();
-  raw->reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = HexNibble(hex[i]);
-    const int lo = HexNibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    raw->push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return true;
 }
 
 bool ParseU64(const std::string& field, uint64_t* value) {
@@ -93,7 +65,7 @@ bool ParseWalRecord(const std::string& payload, AnswerWal::Record* record) {
   if (fields[0] == "reg") {
     if (fields.size() != 2) return false;
     record->kind = Kind::kRegister;
-    return FromHex(fields[1], &record->worker_id);
+    return ParseHex(fields[1], &record->worker_id);
   }
   if (fields[0] == "ans") {
     uint64_t choice = 0;
@@ -104,7 +76,7 @@ bool ParseWalRecord(const std::string& payload, AnswerWal::Record* record) {
     }
     record->kind = Kind::kAnswer;
     record->choice = static_cast<uint32_t>(choice);
-    return FromHex(fields[4], &record->worker_id);
+    return ParseHex(fields[4], &record->worker_id);
   }
   if (fields[0] == "dedup") {
     if (fields.size() != 4 || !ParseU64(fields[1], &record->request_id)) {
@@ -114,7 +86,7 @@ bool ParseWalRecord(const std::string& payload, AnswerWal::Record* record) {
     if (!code.has_value()) return false;
     record->kind = Kind::kDedup;
     record->code = *code;
-    return FromHex(fields[3], &record->worker_id);
+    return ParseHex(fields[3], &record->worker_id);
   }
   return false;
 }

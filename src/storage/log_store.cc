@@ -141,38 +141,42 @@ Status LogStore::CompactLines(std::string_view lines) {
 Status LogStore::CompactWith(
     const std::function<void(const PayloadSink&)>& records) {
   file_->out.close();
-  const std::string tmp = path_ + ".compact";
-  // On any failure the original log is untouched; reopen it for append so
-  // the store stays usable and a later retry can run.
-  auto fail = [this](std::string message) {
-    file_->out.open(path_, std::ios::app);
-    return IoError(std::move(message));
-  };
+  // On failure the original log is untouched; reopening it for append keeps
+  // the store usable so a later retry can run.
+  StatusOr<size_t> written = WriteFile(path_, records);
+  file_->out.open(path_, std::ios::app);
+  if (!written.ok()) return written.status();
+  record_count_ = *written;
+  if (!file_->out.is_open()) return IoError("cannot reopen " + path_);
+  return OkStatus();
+}
+
+StatusOr<size_t> LogStore::WriteFile(
+    const std::string& path,
+    const std::function<void(const PayloadSink&)>& records) {
+  const std::string tmp = path + ".compact";
   size_t record_count = 0;
   {
     std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) return fail("cannot open " + tmp);
+    if (!out.is_open()) return IoError("cannot open " + tmp);
     records([&](std::string_view payload) {
       WriteRecord(out, payload);
       ++record_count;
     });
     if (DOCS_FAULT_POINT(kFaultCompactWrite)) {
-      return fail("injected compaction write failure: " + path_);
+      return IoError("injected compaction write failure: " + path);
     }
-    if (!out.good()) return fail("compaction write failed");
+    if (!out.good()) return IoError("compaction write failed");
   }
   if (DOCS_FAULT_POINT(kFaultCompactRename)) {
     // Crash before the rename: the fully written temp file is orphaned, the
-    // live log keeps its old contents — the atomicity contract under test.
-    return fail("injected crash before compaction rename: " + path_);
+    // live file keeps its old contents — the atomicity contract under test.
+    return IoError("injected crash before compaction rename: " + path);
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return fail("compaction rename failed");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return IoError("compaction rename failed");
   }
-  record_count_ = record_count;
-  file_->out.open(path_, std::ios::app);
-  if (!file_->out.is_open()) return IoError("cannot reopen " + path_);
-  return OkStatus();
+  return record_count;
 }
 
 Status LogStore::Flush() {

@@ -84,6 +84,16 @@ class LogStore {
   [[nodiscard]] Status CompactWith(
       const std::function<void(const PayloadSink&)>& records);
 
+  /// Atomically replaces the file at `path` with a log of exactly the
+  /// payloads `records` feeds (write `<path>.compact`, then rename), without
+  /// opening or reading what it replaces; returns the record count. On
+  /// failure the file at `path` is untouched. Compact* and the checkpoint
+  /// writer share it, and with it the kFaultCompactWrite/kFaultCompactRename
+  /// fault points.
+  [[nodiscard]] static StatusOr<size_t> WriteFile(
+      const std::string& path,
+      const std::function<void(const PayloadSink&)>& records);
+
   /// Flushes buffered appends to the OS.
   [[nodiscard]] Status Flush();
 

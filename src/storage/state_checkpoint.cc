@@ -3,8 +3,10 @@
 #include <charconv>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/fault_injection.h"
+#include "common/string_utils.h"
 #include "storage/log_store.h"
 
 namespace docs::storage {
@@ -15,7 +17,13 @@ namespace {
 //   task <index> <known_truth> <num_choices> <m> r0 .. r{m-1}
 //   golden <task_index>
 //   worker <index> <external_id> <golden_done> <m> q0.. u0..
+//   worker_hex <index> 0x<hex(external_id)> <golden_done> <m> q0.. u0..
 //   answer <task> <worker> <choice>
+// An id that a space-separated field cannot hold (empty, or with any
+// whitespace byte) is written as worker_hex, hex-encoded like the answer
+// WAL's ids behind a "0x" that keeps even the empty id a non-empty field;
+// every other id is written verbatim, so files without such ids read and
+// write byte-identically to earlier builds.
 
 // Each payload is formatted with std::to_chars into one reused string and
 // written as it is made (LogStore::CompactWith): a stream per record made
@@ -51,12 +59,23 @@ void FormatTask(size_t index, const StateCheckpoint::TaskState& t,
   for (double r : t.domain_vector) AppendField(r, out);
 }
 
+bool NeedsHex(const std::string& id) {
+  return id.empty() ||
+         id.find_first_of(" \t\n\v\f\r") != std::string::npos;
+}
+
 void FormatWorker(size_t index, const StateCheckpoint::WorkerState& w,
                   std::string* out) {
-  *out = "worker";
+  const bool hex = NeedsHex(w.external_id);
+  *out = hex ? "worker_hex" : "worker";
   AppendField(index, out);
   out->push_back(' ');
-  out->append(w.external_id);
+  if (hex) {
+    out->append("0x");
+    AppendHex(w.external_id, out);
+  } else {
+    out->append(w.external_id);
+  }
   AppendField(w.golden_done ? 1 : 0, out);
   AppendField(w.seed_quality.size(), out);
   for (double q : w.seed_quality) AppendField(q, out);
@@ -72,14 +91,10 @@ Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
     // stays intact, which is what retry-with-backoff relies on.
     return IoError("injected checkpoint save failure: " + path);
   }
-  for (const auto& worker : checkpoint.workers) {
-    if (worker.external_id.find(' ') != std::string::npos) {
-      return InvalidArgumentError("worker ids must not contain spaces");
-    }
-  }
-  auto log = LogStore::Open(path, nullptr);
-  if (!log.ok()) return log.status();
-  return log->CompactWith([&](const LogStore::PayloadSink& emit) {
+  // Written straight to a temp file and renamed over the old checkpoint,
+  // which is never opened: reading it first cost a full parse and checksum
+  // pass, and a corrupt old file would fail every later save.
+  auto records = [&](const LogStore::PayloadSink& emit) {
     std::string payload;
     for (size_t i = 0; i < checkpoint.tasks.size(); ++i) {
       FormatTask(i, checkpoint.tasks[i], &payload);
@@ -101,7 +116,8 @@ Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
       AppendField(answer.choice, &payload);
       emit(payload);
     }
-  });
+  };
+  return LogStore::WriteFile(path, records).status();
 }
 
 StatusOr<StateCheckpoint> LoadStateCheckpoint(const std::string& path) {
@@ -138,13 +154,22 @@ StatusOr<StateCheckpoint> LoadStateCheckpoint(const std::string& path) {
         return;
       }
       checkpoint.golden_tasks.push_back(index);
-    } else if (kind == "worker") {
+    } else if (kind == "worker" || kind == "worker_hex") {
       size_t index = 0, m = 0;
       std::string id;
       int golden_done = 0;
       if (!(fields >> index >> id >> golden_done >> m)) {
         corrupt = true;
         return;
+      }
+      if (kind == "worker_hex") {
+        std::string raw;
+        if (!StartsWith(id, "0x") ||
+            !ParseHex(std::string_view(id).substr(2), &raw)) {
+          corrupt = true;
+          return;
+        }
+        id = std::move(raw);
       }
       if (checkpoint.workers.size() <= index) {
         checkpoint.workers.resize(index + 1);

@@ -46,7 +46,9 @@ struct StateCheckpoint {
 };
 
 /// Writes the checkpoint atomically (temp file + rename, checksummed
-/// records).
+/// records) without reading the file it replaces, so a corrupt previous
+/// checkpoint never blocks a save. Accepts every worker id: ids with
+/// whitespace (or empty) are stored hex-encoded.
 [[nodiscard]] Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
                            const std::string& path);
 

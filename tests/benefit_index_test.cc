@@ -1,14 +1,17 @@
-// The per-worker benefit index's invalidation contracts (DESIGN.md §16).
-// The index is a lazily repaired max-heap over the benefit cache rows; a
-// warm RequestTasks reads the top-k eligible tasks off it in O(k log n).
-// These tests pin how each mutation class reaches it: the periodic full
-// re-inference stales every index with ONE generation bump, lease expiry
-// stales nothing, an uninvolved worker's index repairs from the engine's
-// mutation log (live, or the window a snapshot carries), a worker-epoch
-// bump rebuilds, and redundancy-cap churn that exhausts the walk's budget
-// falls back to the scan. Every selection is checked against the test-side
-// oracle of ranking_oracle.h. scripts/ci.sh
-// runs this binary under DOCS_DEBUG_CHECKS (the O(n) heap audit).
+// The per-worker benefit index's invalidation and accounting contracts
+// (DESIGN.md §11, §16). The index is the one memo of a worker's benefit
+// scores: a lazily repaired max-heap that a warm RequestTasks reads the
+// top-k eligible tasks off in O(k log n). These tests pin how each mutation
+// class reaches it: the periodic full re-inference stales every index with
+// ONE generation bump, lease expiry stales nothing, an uninvolved worker's
+// index repairs from the engine's mutation log (live, or the window a
+// snapshot carries), a worker-epoch bump rebuilds, and redundancy-cap churn
+// that exhausts the walk's budget falls back to a scan over the index's
+// values. They also pin the counters: exact counts of scores computed
+// (rebuild n + repairs) and the request-level tally a dashboard reads.
+// Every selection is checked against the test-side oracle of
+// ranking_oracle.h. scripts/ci.sh runs this binary under DOCS_DEBUG_CHECKS
+// (the O(n) heap audit) and under TSan.
 
 #include <gtest/gtest.h>
 
@@ -26,11 +29,14 @@ namespace docs::core {
 namespace {
 
 using oracle::Inputs;
+using oracle::kAllRules;
+using oracle::ReferenceScores;
 using oracle::ReferenceTopK;
+using oracle::RequestTally;
 
 class BenefitIndexTest : public oracle::OracleFixture {};
 
-/// RunFullInference stales every cached score and every index with a single
+/// RunFullInference stales every index with a single
 /// generation bump: the per-task and per-worker epoch arrays do not move.
 /// The next serving pass rebuilds the index once and matches the oracle.
 TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
@@ -228,9 +234,9 @@ TEST_F(BenefitIndexTest, SnapshotIndexRepairsAcrossSeveralPublishes) {
 /// Budget exhaustion under cap churn: when enough of the heap's top entries
 /// are ineligible (leased out under a redundancy cap of one), the frontier
 /// walk gives up within its visit budget and the pass falls back to the
-/// scan — which must still select exactly what the oracle selects. The
-/// fallback is observable as row-cache traffic (a successful index pass
-/// performs zero row lookups) with the index left fresh (no rebuild).
+/// scan over the index's values — which must still select exactly what the
+/// oracle selects. The fallback is observable as a walk past its budget
+/// with the index left fresh (no rebuild) and no score computed.
 TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 120, 17);
   DocsSystemOptions options = QuietOptions();
@@ -267,18 +273,216 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   // exceeds the k=1 walk budget (64 visits) — the pass falls back to the
   // scan without rebuilding the still-fresh index, and still matches the
   // oracle bit for bit.
-  const uint64_t rebuilds_before =
-      system.serving_counters().benefit_index_rebuilds;
-  ServingCounters counters = system.serving_counters();
-  const uint64_t row_traffic_before =
-      counters.benefit_cache_hits + counters.benefit_cache_misses;
+  const ServingCounters before = system.serving_counters();
   const auto fallback = step("w", 1);
   ASSERT_EQ(fallback.size(), 1u);
   EXPECT_NE(fallback, top);
-  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds_before);
-  counters = system.serving_counters();
-  EXPECT_GT(counters.benefit_cache_hits + counters.benefit_cache_misses,
-            row_traffic_before);
+  const ServingCounters after = system.serving_counters();
+  EXPECT_EQ(after.benefit_index_rebuilds, before.benefit_index_rebuilds);
+  EXPECT_GT(after.benefit_index_pops - before.benefit_index_pops, 64u);
+  EXPECT_EQ(after.benefit_cache_misses, before.benefit_cache_misses);
+}
+
+/// The same churn on the snapshot path: the facade serves w's second request
+/// from a published snapshot, her index (built on the cold path) is still
+/// fresh against it, and the over-budget walk falls back to the scan. The
+/// scan reads every eligible score off the index, so the pass computes no
+/// score at all — a request HIT — and still matches the oracle.
+TEST_F(BenefitIndexTest, SnapshotScanFallbackComputesNoScores) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 120, 17);
+  DocsSystemOptions options = QuietOptions();
+  options.selection_rule = SelectionRule::kUncertainty;
+  options.lease_duration = 100;  // nothing expires during the test
+  options.max_answers_per_task = 1;
+  ConcurrentDocsSystem facade(&kb_->knowledge_base, options);
+  ASSERT_TRUE(facade.AddTasks(Inputs(dataset)).ok());
+
+  // No answers are submitted, so a task is capped iff it was granted.
+  std::vector<uint8_t> leased(dataset.tasks.size(), 0);
+  auto step = [&](const std::string& id, size_t k) {
+    const auto selected = facade.RequestTasks(id, k);
+    const auto expected = facade.WithLocked([&](DocsSystem& system) {
+      // Leases move no score, so the oracle may rank after the commit.
+      return ReferenceTopK(system, *system.FindWorker(id),
+                           options.selection_rule, k, &leased);
+    });
+    EXPECT_EQ(selected, expected);
+    for (size_t task : selected) leased[task] = 1;
+    return selected;
+  };
+
+  // First contacts run on the cold path: w's index is built there, then
+  // twenty v-workers lease the 80 ranks after w's top task.
+  ASSERT_EQ(step("w", 1).size(), 1u);
+  for (size_t v = 0; v < 20; ++v) {
+    ASSERT_EQ(step("v" + std::to_string(v), 4).size(), 4u);
+  }
+
+  const ServingCounters before = facade.serving_counters();
+  ASSERT_EQ(step("w", 1).size(), 1u);
+  const ServingCounters after = facade.serving_counters();
+  EXPECT_EQ(after.benefit_index_rebuilds, before.benefit_index_rebuilds);
+  EXPECT_EQ(after.benefit_index_repairs, before.benefit_index_repairs);
+  EXPECT_GT(after.benefit_index_pops - before.benefit_index_pops, 64u);
+  EXPECT_EQ(after.benefit_cache_misses, before.benefit_cache_misses);
+  EXPECT_EQ(after.benefit_cache_request_hits,
+            before.benefit_cache_request_hits + 1);
+  EXPECT_EQ(after.benefit_cache_request_misses,
+            before.benefit_cache_request_misses);
+}
+
+
+/// A submission by worker A on task t moves exactly one of an uninvolved
+/// worker B's scores (t's posterior moved; B's worker epoch did not), while
+/// every score of A's own goes stale (her quality moved). Pinned on exact
+/// counts of scores computed: B's index repairs the one logged task in
+/// place, and A's rebuilds.
+TEST_F(BenefitIndexTest, InvalidationIsPreciseForUninvolvedWorkers) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
+  DocsSystem system(&kb_->knowledge_base, QuietOptions());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+  const SelectionRule rule = SelectionRule::kBenefit;
+
+  const size_t a = system.WorkerIndex("a");
+  const size_t b = system.WorkerIndex("b");
+  const auto granted = system.SelectTasks(a, 1);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(system.SelectTasks(b, 4), ReferenceTopK(system, b, rule, 4));
+  // Both indexes built cold: 60 scores each.
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, 120u);
+
+  // ScoreAllTasks syncs b's index off the mutation log: one repair, one
+  // score, and every other value read off the index.
+  ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
+  const uint64_t rebuilds = system.serving_counters().benefit_index_rebuilds;
+  const uint64_t repairs = system.serving_counters().benefit_index_repairs;
+  uint64_t misses = system.serving_counters().benefit_cache_misses;
+  EXPECT_EQ(system.ScoreAllTasks(b, /*cold=*/false),
+            ReferenceScores(system, b, rule));
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - misses, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_index_repairs, repairs + 1);
+
+  // b's next request finds the index caught up: no rebuild, no repair, no
+  // score.
+  misses = system.serving_counters().benefit_cache_misses;
+  EXPECT_EQ(system.SelectTasks(b, 4), ReferenceTopK(system, b, rule, 4));
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds);
+  EXPECT_EQ(system.serving_counters().benefit_index_repairs, repairs + 1);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, misses);
+
+  // a's own index is fully stale: the rebuild scores her 59 unanswered
+  // tasks and the pass scores her one answered task cold — 60 in all.
+  EXPECT_EQ(system.ScoreAllTasks(a, /*cold=*/false),
+            ReferenceScores(system, a, rule));
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - misses, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds + 1);
+}
+
+/// All four rules route through the index: on a quiet system a repeat
+/// ScoreAllTasks pass computes nothing, and repeat requests are served off
+/// the fresh heap — no rebuild, no score, one request hit each.
+TEST_F(BenefitIndexTest, WarmRequestsKeepHittingUnderEveryRule) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
+  for (SelectionRule rule : kAllRules) {
+    SCOPED_TRACE(static_cast<int>(rule));
+    DocsSystemOptions options = QuietOptions();
+    options.selection_rule = rule;
+    DocsSystem system(&kb_->knowledge_base, options);
+    ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+    const size_t w = system.WorkerIndex("w");
+
+    const auto reference = ReferenceScores(system, w, rule);
+    EXPECT_EQ(system.ScoreAllTasks(w, /*cold=*/false), reference);
+    EXPECT_EQ(system.serving_counters().benefit_cache_misses, 40u);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(system.ScoreAllTasks(w, /*cold=*/false), reference);
+    }
+    EXPECT_EQ(system.serving_counters().benefit_cache_misses, 40u);
+
+    const auto first = system.SelectTasks(w, 5);
+    EXPECT_EQ(first, ReferenceTopK(system, w, rule, 5));
+    const uint64_t rebuilds = system.serving_counters().benefit_index_rebuilds;
+    const uint64_t request_hits =
+        system.serving_counters().benefit_cache_request_hits;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(system.SelectTasks(w, 5), first);
+    }
+    EXPECT_EQ(system.serving_counters().benefit_index_rebuilds, rebuilds);
+    EXPECT_EQ(system.serving_counters().benefit_cache_misses, 40u);
+    EXPECT_EQ(system.serving_counters().benefit_cache_request_hits,
+              request_hits + 3);
+  }
+}
+
+/// benefit_cache_misses counts individual scores computed; the request
+/// counters tally whole serving passes (a pass that computed even one score
+/// is a request miss). Dashboards want request_hits / (request_hits +
+/// request_misses).
+TEST_F(BenefitIndexTest, RequestCountersTallyServingPassesNotScores) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
+  DocsSystem system(&kb_->knowledge_base, QuietOptions());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+
+  // Cold pass: the index rebuild scores all 60 tasks — ONE request miss.
+  const size_t b = system.WorkerIndex("b");
+  (void)system.SelectTasks(b, 4);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_misses, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits, 0u);
+
+  // Quiet repeat: served off the fresh heap without computing a score —
+  // ONE request hit.
+  (void)system.SelectTasks(b, 4);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses, 60u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_misses, 1u);
+
+  // Another worker's answer stales one of b's scores: her next pass
+  // repairs and rescores that one task, so it is a request MISS although
+  // the rest of the heap stayed warm.
+  const size_t a = system.WorkerIndex("a");
+  const auto granted = system.SelectTasks(a, 1);
+  ASSERT_EQ(granted.size(), 1u);
+  ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
+  const uint64_t request_hits =
+      system.serving_counters().benefit_cache_request_hits;
+  const uint64_t request_misses =
+      system.serving_counters().benefit_cache_request_misses;
+  const uint64_t misses = system.serving_counters().benefit_cache_misses;
+  (void)system.SelectTasks(b, 4);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - misses, 1u);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_misses,
+            request_misses + 1);
+  EXPECT_EQ(system.serving_counters().benefit_cache_request_hits, request_hits);
+
+  // ScoreAllTasks is not a serving pass: it reads b's caught-up index
+  // (no score computed) and the request tally does not move.
+  const uint64_t tally = RequestTally(system);
+  (void)system.ScoreAllTasks(b, /*cold=*/false);
+  EXPECT_EQ(system.serving_counters().benefit_cache_misses - misses, 1u);
+  EXPECT_EQ(RequestTally(system), tally);
+}
+
+/// A pass that finds no eligible task serves nothing and must not move the
+/// request tally, whichever route — index walk or scan — ran it. Here every
+/// task is capped by an outstanding lease.
+TEST_F(BenefitIndexTest, RequestCountersIgnorePassesThatServeNothing) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
+  DocsSystemOptions options = QuietOptions();
+  options.lease_duration = 100;  // nothing expires during the test
+  options.max_answers_per_task = 1;
+  DocsSystem system(&kb_->knowledge_base, options);
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+
+  const size_t a = system.WorkerIndex("a");
+  ASSERT_EQ(system.SelectTasks(a, 40).size(), 40u);  // every task leased
+  const uint64_t tally = RequestTally(system);
+  EXPECT_EQ(tally, 1u);
+  const size_t b = system.WorkerIndex("b");
+  EXPECT_TRUE(system.SelectTasks(b, 4).empty());  // cold index, walk empty
+  EXPECT_TRUE(system.SelectTasks(b, 4).empty());  // warm index, walk empty
+  EXPECT_TRUE(system.SelectTasks(a, 4).empty());
+  EXPECT_EQ(RequestTally(system), tally);
 }
 
 }  // namespace

@@ -251,7 +251,7 @@ TEST_F(DocsSystemDeterminismTest, ServingPathSweepIsIdentical) {
 /// worker qualities. Requests are driven sequentially (one at a time, rotating
 /// over 12 connections that round-robin across the reactors), so the answer
 /// order is fixed and any divergence isolates a reactor- or thread-dependent
-/// code path — hand-off, sharded scoring, per-shard cache rows, pool fallback.
+/// code path — hand-off, sharded scoring, per-shard indexes, pool fallback.
 TEST_F(DocsSystemDeterminismTest, GatewayServingSweepIsIdenticalAcrossReactors) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();

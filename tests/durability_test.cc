@@ -552,6 +552,57 @@ TEST_F(DurabilityTest, CheckpointTruncatesWalAndCarriesWindow) {
   EXPECT_EQ(recovered.stats().answers_deduped, 1u);
 }
 
+/// Ids with a space or a tab register like any other, and the checkpoint
+/// stores them hex-encoded: Checkpoint succeeds and truncates the WAL to the
+/// carried dedup window, and recovery from the checkpoint alone reproduces
+/// an uninterrupted run bitwise.
+TEST_F(DurabilityTest, CheckpointAcceptsIdsWithWhitespace) {
+  const std::string dir = FreshDir("dur_whitespace_ids");
+  const std::vector<std::string> ids = {"worker with spaces", "tab\tworker",
+                                        "plain"};
+  std::vector<Acked> acked;
+  {
+    auto system = LoadedSystem();
+    DurableDocsSystem durable(system.get(), {dir});
+    ASSERT_TRUE(durable.Recover().ok());
+    uint64_t rid = 0;
+    for (size_t w = 0; w < ids.size(); ++w) {
+      Register(durable, ids[w]);
+      for (size_t i = 0; i < 6; ++i) {
+        const size_t task = w * 6 + i;
+        const size_t choice = task % 2;
+        ASSERT_TRUE(durable.SubmitAnswer(ids[w], task, choice, ++rid).ok());
+        acked.emplace_back(ids[w], task, choice);
+      }
+    }
+    EXPECT_EQ(durable.stats().wal_records, ids.size() + acked.size());
+    ASSERT_TRUE(durable.Checkpoint().ok());
+    EXPECT_EQ(durable.stats().checkpoints, 1u);
+    EXPECT_EQ(durable.stats().wal_records, acked.size());  // the window only
+  }
+
+  auto replayed = EmptySystem();
+  DurableDocsSystem recovered(replayed.get(), {dir});
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.stats().answers_recovered, 0u);
+  EXPECT_EQ(replayed->WorkerIds(), ids);
+  EXPECT_EQ(RecoveredAnswers(*replayed), acked);
+
+  auto reference = LoadedSystem();
+  reference->WithLocked([&](DocsSystem& inner) {
+    for (const std::string& id : ids) (void)inner.WorkerIndex(id);
+    return 0;
+  });
+  for (const Acked& answer : acked) {
+    ASSERT_TRUE(reference
+                    ->SubmitAnswer(std::get<0>(answer), std::get<1>(answer),
+                                   std::get<2>(answer))
+                    .ok());
+  }
+  EXPECT_TRUE(BitwiseEqual(Posterior(*replayed), Posterior(*reference)));
+  EXPECT_EQ(replayed->InferredChoices(), reference->InferredChoices());
+}
+
 TEST_F(DurabilityTest, PeriodicCheckpointFiresEveryN) {
   const std::string dir = FreshDir("dur_periodic");
   auto system = LoadedSystem();

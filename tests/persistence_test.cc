@@ -214,12 +214,43 @@ TEST(StateCheckpointTest, RejectsDanglingAnswer) {
             StatusCode::kDataLoss);
 }
 
-TEST(StateCheckpointTest, RejectsSpaceInWorkerId) {
+TEST(StateCheckpointTest, HexEncodesOnlyIdsWithWhitespace) {
+  const std::string path = TempPath("checkpoint_whitespace_ids.log");
+  std::remove(path.c_str());
   auto checkpoint = MakeCheckpoint();
-  checkpoint.workers[0].external_id = "has space";
-  EXPECT_FALSE(storage::SaveStateCheckpoint(
-                   checkpoint, TempPath("checkpoint_space.log"))
-                   .ok());
+  const std::vector<std::string> ids = {"alice",       "has space", "tab\there",
+                                        "line\nbreak", "",          "cr\r"};
+  for (size_t w = 1; w < ids.size(); ++w) {
+    checkpoint.workers.push_back(checkpoint.workers[0]);
+    checkpoint.workers.back().external_id = ids[w];
+  }
+  ASSERT_TRUE(storage::SaveStateCheckpoint(checkpoint, path).ok());
+  const std::string bytes = ReadFile(path);
+  // A plain id stays verbatim (files without such ids are byte-identical to
+  // earlier builds); the others are written hex-encoded.
+  EXPECT_NE(bytes.find("\nPUT worker 0 alice 1 2 "), std::string::npos);
+  EXPECT_NE(bytes.find("\nPUT worker_hex 1 0x686173207370616365 1 2 "),
+            std::string::npos);
+  EXPECT_NE(bytes.find("\nPUT worker_hex 4 0x 1 2 "), std::string::npos);
+  auto loaded = storage::LoadStateCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->workers.size(), ids.size());
+  for (size_t w = 0; w < ids.size(); ++w) {
+    EXPECT_EQ(loaded->workers[w].external_id, ids[w]);
+    EXPECT_EQ(loaded->workers[w].seed_quality,
+              checkpoint.workers[0].seed_quality);
+  }
+}
+
+TEST(StateCheckpointTest, MalformedHexIdIsDataLoss) {
+  const std::string path = TempPath("checkpoint_bad_hex.log");
+  std::remove(path.c_str());
+  auto log = storage::LogStore::Open(path, nullptr);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE(log->Append("worker_hex 0 0x6g 1 0").ok());
+  ASSERT_TRUE(log->Flush().ok());
+  EXPECT_EQ(storage::LoadStateCheckpoint(path).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(StateCheckpointTest, SaveIsAtomicOverwrite) {

@@ -1,8 +1,8 @@
-// Test-side ranking oracle shared by ranking_oracle_test, benefit_cache_test
-// and benefit_index_test (DESIGN.md §11, §16).
+// Test-side ranking oracle shared by ranking_oracle_test and
+// benefit_index_test (DESIGN.md §11, §16).
 //
-// Serving ranks tasks through one strategy: the epoch-tagged benefit cache,
-// the per-worker benefit index with its scan fallback, and the fused kernel.
+// Serving ranks tasks through one strategy: the per-worker benefit index
+// with its scan fallback over the index's values, and the fused kernel.
 // The oracle here scores every eligible task from the system's live
 // inference state — the allocating reference kernel for kBenefit and
 // kQualityBlind, H(s) for kUncertainty, r·q for kDomainMax — and orders the
@@ -37,7 +37,7 @@ inline std::vector<TaskInput> Inputs(const datasets::Dataset& dataset) {
 }
 
 /// Every task's score for `worker` under `rule`, computed from the system's
-/// live inference state without the cache, the index or the fused kernel.
+/// live inference state without the index or the fused kernel.
 inline std::vector<double> ReferenceScores(const DocsSystem& system,
                                            size_t worker, SelectionRule rule) {
   const IncrementalTruthInference& inference = system.inference();

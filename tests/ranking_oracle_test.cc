@@ -3,13 +3,13 @@
 // Every serving path must match the test-side oracle of ranking_oracle.h
 // BITWISE: the exclusive DocsSystem::SelectTasks, the sync facade (snapshot
 // serving at staleness 0), the drained async facade, and gateways at 1/2/4
-// reactors. The campaigns hit every mutation class the cache and index must
-// survive: answers with the §4.2 retro fan-out, abandoned grants reclaimed by
+// reactors. The campaigns hit every mutation class the index must survive:
+// answers with the §4.2 retro fan-out, abandoned grants reclaimed by
 // ExpireLeases, the periodic full re-inference (one generation bump), and
 // mid-campaign WorkerStore reseeds. Every comparison is exact (operator== on
-// doubles). The cache's and the index's own invalidation contracts are
-// pinned in benefit_cache_test and benefit_index_test. scripts/ci.sh runs
-// this binary under DOCS_DEBUG_CHECKS (the O(n) heap audit) and under TSan.
+// doubles). The index's own invalidation and accounting contracts are pinned
+// in benefit_index_test. scripts/ci.sh runs this binary under
+// DOCS_DEBUG_CHECKS (the O(n) heap audit) and under TSan.
 
 #include <gtest/gtest.h>
 
@@ -150,11 +150,11 @@ TEST_F(RankingOracleTest, ServingPathsMatchTheReferenceAcrossRulesAndThreads) {
         ASSERT_EQ(async_facade.RequestTasks(id, 4), selected);
 
         if (round % 5 == 0) {
-          // Full-score probe: the cache-served pass and the bypass pass
+          // Full-score probe: the index-served pass and the cold pass
           // both equal the reference scores bit for bit.
           const auto reference = ReferenceScores(system, w, rule);
-          EXPECT_EQ(system.ScoreAllTasks(w, /*bypass_cache=*/false), reference);
-          EXPECT_EQ(system.ScoreAllTasks(w, /*bypass_cache=*/true), reference);
+          EXPECT_EQ(system.ScoreAllTasks(w, /*cold=*/false), reference);
+          EXPECT_EQ(system.ScoreAllTasks(w, /*cold=*/true), reference);
         }
 
         for (size_t s = 0; s < selected.size(); ++s) {

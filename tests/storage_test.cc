@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
+#include "storage/state_checkpoint.h"
 #include "storage/worker_store.h"
 
 namespace docs::storage {
@@ -11,6 +13,45 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// A save never reads the checkpoint it replaces: one whose first record is
+/// corrupt, with checksum-valid records after it (mid-file corruption, which
+/// LogStore::Open refuses as DataLoss), is overwritten like any other, with
+/// the same bytes a save to a fresh path writes.
+TEST(StateCheckpointTest, SaveOverMidFileCorruptedCheckpointSucceeds) {
+  const std::string path = TempPath("checkpoint_over_corrupt.log");
+  const std::string fresh = TempPath("checkpoint_over_corrupt_fresh.log");
+  std::remove(path.c_str());
+  std::remove(fresh.c_str());
+  StateCheckpoint checkpoint;
+  checkpoint.tasks.resize(3);
+  for (auto& task : checkpoint.tasks) task.domain_vector = {0.5, 0.5};
+  checkpoint.workers.resize(1);
+  checkpoint.workers[0].external_id = "w0";
+  checkpoint.answers = {{0, 0, 1}, {1, 0, 0}, {2, 0, 1}};
+  ASSERT_TRUE(SaveStateCheckpoint(checkpoint, path).ok());
+
+  std::string bytes = ReadBytes(path);
+  ASSERT_EQ(bytes.compare(0, 9, "PUT task "), 0);
+  bytes[9] = '7';  // the first record's task index: its checksum now fails
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  ASSERT_EQ(LoadStateCheckpoint(path).status().code(), StatusCode::kDataLoss);
+
+  ASSERT_TRUE(SaveStateCheckpoint(checkpoint, path).ok());
+  ASSERT_TRUE(SaveStateCheckpoint(checkpoint, fresh).ok());
+  EXPECT_EQ(ReadBytes(path), ReadBytes(fresh));
+  auto loaded = LoadStateCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->answers.size(), 3u);
 }
 
 TEST(WorkerQualityRecordTest, FreshRecord) {

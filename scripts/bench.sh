@@ -34,6 +34,8 @@
 # caveat instead — reactors and the inference thread can only interleave
 # there, not overlap. The §16 gate runs everywhere: it compares two
 # single-threaded runs of the same binary, so core count cannot bias it.
+# Every gate runs whatever an earlier one gave; the script prints each
+# gate's PASS/FAIL/SKIP at the end and exits non-zero if any failed.
 #
 #   --quick      CI smoke sizing: shorter runs, artifacts written into the
 #                build tree instead of replacing the committed BENCH_5.json
@@ -78,6 +80,22 @@ else OUT10="$ROOT/BENCH_10.json"; fi
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
+# Runs one acceptance gate (the command, with its python on stdin) and
+# records the outcome instead of stopping at a failure: exit 0 is PASS, 3 is
+# SKIP (a caveat recorded in the artifact), anything else is FAIL.
+GATE_RESULTS=()
+gate() {
+  local name="$1"
+  shift
+  local status=0
+  "$@" || status=$?
+  case "$status" in
+    0) GATE_RESULTS+=("PASS $name") ;;
+    3) GATE_RESULTS+=("SKIP $name") ;;
+    *) GATE_RESULTS+=("FAIL $name") ;;
+  esac
+}
+
 if [[ "$QUICK" == 1 ]]; then
   MICRO_ARGS=(--benchmark_min_time=0.05)
   SERVER_CONNECTIONS=2
@@ -106,7 +124,8 @@ echo "=== [bench] bench_server --mode=mixed ==="
   --connections="$SERVER_CONNECTIONS" --ops="$SERVER_OPS" \
   --json="$TMP/server_mixed.json"
 
-python3 - "$TMP/micro.json" "$TMP/server_warm.json" "$TMP/server_mixed.json" \
+gate "warm-path allocations and speed (BENCH_5)" \
+  python3 - "$TMP/micro.json" "$TMP/server_warm.json" "$TMP/server_mixed.json" \
   "$OUT" "$QUICK" <<'PY'
 import json
 import sys
@@ -172,7 +191,8 @@ PY
 # (scan over the warm index) families cover n = 1k/10k/100k tasks. Both are
 # single-threaded runs of the same binary, so the sub-linearity gate applies
 # on any host.
-python3 - "$TMP/micro.json" "$OUT10" "$QUICK" <<'PY'
+gate "index sub-linearity (BENCH_10)" \
+  python3 - "$TMP/micro.json" "$OUT10" "$QUICK" <<'PY'
 import json
 import sys
 
@@ -253,7 +273,8 @@ for c in "${CONNECTION_SWEEP[@]}"; do
 done
 
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
-python3 - "$TMP" "$OUT7" "$QUICK" "$CORES" \
+gate "reactor scaling (BENCH_7)" \
+  python3 - "$TMP" "$OUT7" "$QUICK" "$CORES" \
   "${REACTOR_SWEEP[*]}" "${CONNECTION_SWEEP[*]}" <<'PY'
 import json
 import sys
@@ -309,6 +330,7 @@ print(f"[bench] -> {out_path}")
 if single_core:
     print(f"[bench] single-core host ({cores} core): scaling gate skipped, "
           "caveat recorded in the artifact")
+    sys.exit(3)
 else:
     for lo, hi in zip(reactor_sweep, reactor_sweep[1:]):
         if throughput[hi] <= throughput[lo]:
@@ -334,7 +356,8 @@ for inference in sync async; do
     --ops="$SERVER_OPS" --json="$TMP/inference_$inference.json"
 done
 
-python3 - "$TMP/inference_sync.json" "$TMP/inference_async.json" "$OUT9" \
+gate "async RequestTasks p99 (BENCH_9)" \
+  python3 - "$TMP/inference_sync.json" "$TMP/inference_async.json" "$OUT9" \
   "$QUICK" "$CORES" <<'PY'
 import json
 import sys
@@ -389,9 +412,20 @@ print(f"[bench] async/sync RequestTasks p99 ratio "
 if single_core:
     print(f"[bench] single-core host ({cores} core): async p99 gate "
           "skipped, caveat recorded in the artifact")
+    sys.exit(3)
 elif request_p99_ratio > 1.10:
     sys.exit(f"FAIL: async RequestTasks p99 is {request_p99_ratio:.2f}x "
              "sync (gate: <= 1.10x)")
 PY
 
+echo "=== [bench] gates ==="
+FAILED=0
+for result in "${GATE_RESULTS[@]}"; do
+  echo "[bench] $result"
+  if [[ "$result" == FAIL* ]]; then FAILED=1; fi
+done
+if [[ "$FAILED" == 1 ]]; then
+  echo "=== [bench] FAIL ==="
+  exit 1
+fi
 echo "=== [bench] OK ==="

@@ -18,7 +18,7 @@ Checks, over every C++ file in src/, tests/, bench/ and examples/:
      the annotated docs::Mutex/MutexLock/CondVar wrappers so clang's
      -Wthread-safety analysis (DESIGN.md §14) sees every acquisition.
   6. Lock-order heuristic for the serving hierarchy (state -> shard ->
-     assign/pool): a shard-stripe lock (`<expr>.mutex` / `<expr>->mutex`)
+     assign): a shard-stripe lock (`<expr>.mutex` / `<expr>->mutex`)
      acquired while a `MutexLock` on assign_mutex_ is still in scope is an
      inversion against ConcurrentDocsSystem's documented order and gets
      flagged. Textual and scope-approximate by design: the real checker is

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -33,15 +32,19 @@ size_t EffectiveThreadCount(size_t requested);
 
 /// A fixed-size pool of worker threads executing indexed chunks. The pool is
 /// created once and reused across parallel regions (thread creation costs tens
-/// of microseconds; the hot loops run every answer submission). One Run() is
-/// active at a time; the calling thread participates, so a pool constructed
-/// with `num_threads` applies exactly `num_threads` threads to each region.
+/// of microseconds; the hot loops run every answer submission). Any number of
+/// threads may call Run() at once: each call is its own job, which its caller
+/// always drains itself while idle workers help whichever job still has
+/// unclaimed chunks. A pool constructed with `num_threads` thus applies at
+/// most `num_threads` threads to a lone region, and a region never waits for
+/// another caller's region to finish.
 ///
 /// Determinism contract: Run(num_chunks, fn) invokes fn(c) exactly once for
 /// every c in [0, num_chunks). *Which* thread runs a chunk is scheduling-
 /// dependent, but callers that (a) write only to chunk-owned slots, or
 /// (b) accumulate into per-chunk partials merged in chunk order afterwards,
-/// produce results independent of both the schedule and the pool size.
+/// produce results independent of the schedule, the pool size and whatever
+/// other jobs share the pool.
 class ThreadPool {
  public:
   /// `num_threads` counts the caller: a pool of 1 spawns no workers and runs
@@ -52,56 +55,50 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total threads applied to a region, including the caller.
+  /// Total threads applied to a lone region, including the caller.
   size_t num_threads() const { return workers_.size() + 1; }
 
   /// Executes fn(c) for every chunk index c in [0, num_chunks), blocking until
   /// all chunks finished. Chunks are claimed dynamically (an idle thread takes
-  /// the next index), so uneven chunk costs balance automatically. Not
-  /// reentrant: fn must not call Run() on the same pool.
+  /// the next index), so uneven chunk costs balance automatically. Safe to
+  /// call from several threads at once; fn must not call Run() on the same
+  /// pool.
   ///
   /// If fn throws, the first exception (in completion order) is rethrown from
-  /// Run() after every chunk has been accounted for and the pool state is
-  /// reset — a chunk whose fn threw still counts as completed, so the pool
-  /// stays usable for subsequent Run() calls. Exceptions thrown on worker
-  /// threads are transported to the caller instead of terminating the
-  /// process.
+  /// this Run() — never from another caller's — after every chunk has been
+  /// accounted for. A chunk whose fn threw still counts as completed, so the
+  /// pool stays usable. Exceptions thrown on worker threads are transported
+  /// to the caller instead of terminating the process.
   void Run(size_t num_chunks, const std::function<void(size_t)>& fn)
       DOCS_EXCLUDES(mutex_);
 
  private:
+  /// One Run() call, registered on its caller's stack while it has chunks to
+  /// hand out. `done`, `helpers` and `first_error` are guarded by the pool's
+  /// mutex_ (a nested type cannot name it in an annotation).
+  struct Job {
+    Job(const std::function<void(size_t)>& job_fn, size_t chunks)
+        : fn(job_fn), num_chunks(chunks) {}
+    const std::function<void(size_t)>& fn;
+    const size_t num_chunks;
+    std::atomic<size_t> next{0};  ///< next unclaimed chunk
+    size_t done = 0;              ///< chunks completed and reported
+    size_t helpers = 0;           ///< workers currently inside the job
+    std::exception_ptr first_error;
+  };
+
   void WorkerLoop() DOCS_EXCLUDES(mutex_);
-  /// Claims and executes chunks of the job tagged `generation`, which has
-  /// `num_chunks` chunks, until none remain or the ticket's generation moves
-  /// on; returns the number of chunks this thread completed. `fn` is
-  /// dereferenced only after a successful claim, which proves the job (and
-  /// the caller's fn) is still alive.
-  size_t DrainChunks(uint64_t generation, size_t num_chunks,
-                     const std::function<void(size_t)>* fn)
-      DOCS_EXCLUDES(mutex_);
+  /// Claims and runs chunks of `job` until none remain; returns how many
+  /// this thread ran (thrown ones included, their error recorded).
+  size_t RunChunks(Job& job) DOCS_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar work_cv_;
   CondVar done_cv_;
-  const std::function<void(size_t)>* job_ DOCS_GUARDED_BY(mutex_) = nullptr;
-  /// Chunk-claim ticket: the job generation in the high 32 bits, the next
-  /// unclaimed chunk index in the low 32. Claims are CAS increments that fail
-  /// if the generation tag changed, so a worker that stalled after picking up
-  /// a job but before claiming anything can never consume a chunk of (or run
-  /// fn from) a later job — the tag mismatch fences it off. Wrap-around would
-  /// need a worker to stall across exactly 2^32 Run() generations.
-  std::atomic<uint64_t> ticket_{0};
-  /// Chunk count of the active job. Workers copy it under the mutex together
-  /// with job_ and generation_, so a claim is bounded by its own job's count:
-  /// a straggler that read the NEXT job's larger count while the ticket still
-  /// carried its own generation could otherwise claim a chunk past the end of
-  /// its job, run it through the old (dead) fn, and over-count completed_ so
-  /// that the next Run() waits forever.
-  size_t num_chunks_ DOCS_GUARDED_BY(mutex_) = 0;
-  size_t completed_ DOCS_GUARDED_BY(mutex_) = 0;
-  uint64_t generation_ DOCS_GUARDED_BY(mutex_) = 0;  ///< bumped per Run()
-  std::exception_ptr first_error_ DOCS_GUARDED_BY(mutex_);  ///< see Run()
+  /// Registered jobs, oldest first. A job leaves before its caller waits for
+  /// the helpers inside it, so no worker can enter a job that has returned.
+  std::vector<Job*> jobs_ DOCS_GUARDED_BY(mutex_);
   bool shutdown_ DOCS_GUARDED_BY(mutex_) = false;
 };
 

@@ -36,9 +36,6 @@ Status ConcurrentDocsSystem::AddTasks(const std::vector<TaskInput>& inputs,
 }
 
 void ConcurrentDocsSystem::StartServingLocked() {
-  // Built eagerly: once serving starts, the pool may only be built under
-  // pool_mutex_.
-  system_.ScoringPool();
   (void)PublishLocked();
   if (async_) service_->Start();
 }
@@ -80,10 +77,8 @@ std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::FreshSnapshot() {
 void ConcurrentDocsSystem::ApplyBatch(const std::vector<PendingAnswer>& batch) {
   std::shared_ptr<const InferenceSnapshot> retired;  // freed after the locks
   WriterLock lock(&state_mutex_);
-  // The pool lock is held for the whole batch: the periodic full EM inside
-  // ApplyAnswer fans out on the shared pool, and snapshot scorers try-lock
-  // it (losing the race costs them a serial pass, never a stall).
-  MutexLock pool(&pool_mutex_);
+  // The periodic full EM inside ApplyAnswer fans out on the system's pool
+  // alongside whatever snapshot scorers run meanwhile.
   for (const PendingAnswer& answer : batch) {
     if (async_apply_hook_) async_apply_hook_(answer);
     Status status = system_.ApplyAnswer(answer.worker, answer.task,
@@ -129,9 +124,8 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
   // Cold path: first contact, golden probes, or a worker not yet servable in
   // the published snapshot. Exclusive over state — serialized against every
   // apply and publish — plus her shard stripe (a concurrent snapshot pass
-  // for the same worker syncs her index under it), the assign lock
-  // (lease + submission books), and the pool lock (snapshot scorers
-  // try-lock it).
+  // for the same worker syncs her index under it) and the assign lock
+  // (lease + submission books).
   WriterLock lock(&state_mutex_);
   const size_t index = system_.WorkerIndex(worker_id);
   SyncRegistryFromStateLocked();
@@ -139,7 +133,6 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
   {
     MutexLock shard_lock(&shards_[index % kNumShards].mutex);
     MutexLock assign(&assign_mutex_);
-    MutexLock pool(&pool_mutex_);
     selected = system_.SelectTasks(index, k);
   }
   // A servable worker served cold is missing from the snapshot (just
@@ -162,17 +155,10 @@ std::vector<size_t> ConcurrentDocsSystem::ServeSnapshot(
       MutexLock assign(&assign_mutex_);
       UnlockedSystem().BeginShardedSelect(worker, shard.scratch);
     }
-    // One deterministic pool, many would-be users: the winner of the
-    // try-lock fans the scoring pass out, everyone else scores serially.
-    // Bit-identical either way (the ranking is thread-count invariant), so
-    // contention degrades latency, never results. Explicit TryLock/Unlock
-    // on the tracked boolean (not a scoped guard): the analysis follows the
-    // branch on a try-acquire result, so both paths check out.
-    const bool pool_locked = pool_mutex_.TryLock();
-    ThreadPool* pool = pool_locked ? UnlockedSystem().ScoringPool() : nullptr;
-    std::vector<size_t> selected = UnlockedSystem().ScoreAndRankSnapshot(
-        snap, worker, shard.scratch, k, pool);
-    if (pool_locked) pool_mutex_.Unlock();
+    // Concurrent passes share the system's one pool, each draining its own
+    // chunks (DESIGN.md §8), so no pass waits for another to fan out.
+    std::vector<size_t> selected =
+        UnlockedSystem().ScoreAndRankSnapshot(snap, worker, shard.scratch, k);
     {
       MutexLock assign(&assign_mutex_);
       // A commit conflict means another shard granted the last cap slot of a
@@ -217,7 +203,6 @@ Status ConcurrentDocsSystem::SubmitAnswer(const std::string& worker_id,
   WriterLock lock(&state_mutex_);
   Status status = BookAnswer(*worker, task, choice);
   if (!status.ok()) return status;
-  MutexLock pool(&pool_mutex_);  // the periodic EM fans out on the pool
   status = system_.ApplyAnswer(*worker, task, choice);
   snapshot_stale_.store(true, std::memory_order_release);
   return status;
@@ -301,11 +286,10 @@ size_t ConcurrentDocsSystem::num_answers() {
 }
 
 void ConcurrentDocsSystem::RunFullInference() {
-  // Drain → run on converged state; pool lock because snapshot scorers
-  // try-lock the shared pool; the next request republishes the result.
+  // Drain → run on converged state; the next request republishes the
+  // result.
   Drain();
   WriterLock lock(&state_mutex_);
-  MutexLock pool(&pool_mutex_);
   system_.RunFullInference();
   snapshot_stale_.store(true, std::memory_order_release);
 }

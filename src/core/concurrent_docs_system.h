@@ -62,17 +62,18 @@ struct AsyncInferenceStats {
 /// — take the state lock exclusively.
 ///
 /// The scoring thread pool stays engine-owned and deterministic (DESIGN.md
-/// §8): snapshot scorers try-lock a pool mutex, and the loser of the race
-/// scores serially — bit-identical either way, because the ranking is
-/// thread-count invariant.
+/// §8), and needs no lock: snapshot scorers, the cold path and the apply
+/// path's EM pass all fan out on it at once, each caller draining its own
+/// chunks — bit-identical whoever else is running, because the ranking and
+/// the EM pass are thread-count invariant.
 ///
 /// Lock hierarchy (acquire left-to-right, never right-to-left; DESIGN.md
 /// §14, machine-checked via the DOCS_* annotations below):
-///   state (shared or exclusive) → shard → { assign | pool } → registry.
+///   state (shared or exclusive) → shard → assign → registry.
 /// A sync SubmitAnswer holds state, then assign (validate + book), then
-/// pool (apply). The InferenceService's queue and snapshot mutexes are
-/// leaves: publishes take them under the state lock, and nothing holding
-/// them takes any lock above (the service thread holds neither while
+/// applies under state alone. The InferenceService's queue and snapshot
+/// mutexes are leaves: publishes take them under the state lock, and nothing
+/// holding them takes any lock above (the service thread holds neither while
 /// applying; producers hold nothing while enqueueing), so the queue EXCLUDES
 /// the state lock by construction.
 class ConcurrentDocsSystem {
@@ -90,7 +91,7 @@ class ConcurrentDocsSystem {
   /// (republished first when stale), parallel across worker shards; first
   /// contact and golden probes fall back to the exclusive path.
   std::vector<size_t> RequestTasks(const std::string& worker_id, size_t k)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_, registry_mutex_);
 
   /// Atomically resolves the worker id and submits one answer. Invalid
   /// submissions (unknown task, out-of-range choice, duplicate (worker,
@@ -101,7 +102,7 @@ class ConcurrentDocsSystem {
   /// network delivers.
   [[nodiscard]] Status SubmitAnswer(const std::string& worker_id, size_t task,
                                     size_t choice)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_, registry_mutex_);
 
   /// Reclaims every lease whose logical deadline is at or before `now`
   /// (workers who accepted a HIT and vanished); the freed tasks are
@@ -125,7 +126,7 @@ class ConcurrentDocsSystem {
 
   /// Forces a full inference pass (the recovery bit-equality oracle; see
   /// DocsSystem::RunFullInference).
-  void RunFullInference() DOCS_EXCLUDES(state_mutex_, pool_mutex_);
+  void RunFullInference() DOCS_EXCLUDES(state_mutex_);
 
   /// Registered worker ids in registration order.
   std::vector<std::string> WorkerIds() DOCS_EXCLUDES(state_mutex_);
@@ -149,17 +150,16 @@ class ConcurrentDocsSystem {
   [[nodiscard]] Status SaveCheckpointWithRetry(
       const std::string& path, const CheckpointRetryOptions& retry = {});
 
-  /// Runs `fn` under the exclusive lock (plus the pool lock, so `fn` may
-  /// score on the shared pool) with direct access to the underlying system —
-  /// for setup/inspection that needs several calls to be atomic. The
-  /// snapshot is marked stale (fn may have mutated what it was built from).
+  /// Runs `fn` under the exclusive lock with direct access to the underlying
+  /// system — for setup/inspection that needs several calls to be atomic.
+  /// The snapshot is marked stale (fn may have mutated what it was built
+  /// from).
   /// Async-mode callers that read inference state should Drain() first: the
   /// lock serializes against the service thread, but queued answers are
   /// otherwise still in flight.
   template <typename Fn>
-  auto WithLocked(Fn&& fn) DOCS_EXCLUDES(state_mutex_, pool_mutex_) {
+  auto WithLocked(Fn&& fn) DOCS_EXCLUDES(state_mutex_) {
     WriterLock lock(&state_mutex_);
-    MutexLock pool(&pool_mutex_);
     snapshot_stale_.store(true, std::memory_order_release);
     return fn(system_);
   }
@@ -173,8 +173,8 @@ class ConcurrentDocsSystem {
   /// Quiesce barrier: returns once every answer acked before the call is
   /// applied and visible in a published snapshot. Immediate in sync mode,
   /// where an ack already implies it. Callers must hold no lock (the apply
-  /// path takes state + pool).
-  void Drain() DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
+  /// path takes state).
+  void Drain() DOCS_EXCLUDES(state_mutex_, assign_mutex_);
 
   /// Staleness counters; safe to call concurrently with serving. All-zero /
   /// disabled in sync mode, whose staleness is 0 by construction.
@@ -205,14 +205,14 @@ class ConcurrentDocsSystem {
   };
 
   /// The snapshot serving path: eligibility → score → commit against `snap`
-  /// under `worker`'s shard stripe (plus assign for the lease phases and a
-  /// try-locked pool) — no state lock anywhere, so a concurrent apply, EM
-  /// pass or republish never blocks it. Retries on a commit-time
-  /// redundancy-cap conflict (forced through, dropping only the conflicted
-  /// tasks, on the final attempt so a hot task cannot livelock the request).
+  /// under `worker`'s shard stripe (plus assign for the lease phases) — no
+  /// state lock anywhere, so a concurrent apply, EM pass or republish never
+  /// blocks it. Retries on a commit-time redundancy-cap conflict (forced
+  /// through, dropping only the conflicted tasks, on the final attempt so a
+  /// hot task cannot livelock the request).
   std::vector<size_t> ServeSnapshot(const InferenceSnapshot& snap,
                                     size_t worker, size_t k)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
 
   /// The current snapshot, republished first if an answer or another
   /// mutation since the last publish marked it stale.
@@ -249,10 +249,10 @@ class ConcurrentDocsSystem {
       DOCS_EXCLUDES(registry_mutex_);
 
   /// The InferenceService's apply callback: runs on the service thread,
-  /// applies one FIFO batch under state (exclusive) + pool, and publishes
+  /// applies one FIFO batch under the exclusive state lock, and publishes
   /// the next snapshot copy-on-write.
   void ApplyBatch(const std::vector<PendingAnswer>& batch)
-      DOCS_EXCLUDES(state_mutex_, pool_mutex_);
+      DOCS_EXCLUDES(state_mutex_);
 
   /// Narrow, documented escape hatch from system_'s GUARDED_BY(state_mutex_)
   /// for the paths that by design run without the state lock. Every member
@@ -269,13 +269,11 @@ class ConcurrentDocsSystem {
   /// it (exclusive for mutators and republishes, shared for read-only
   /// inspection).
   SharedMutex state_mutex_
-      DOCS_ACQUIRED_BEFORE(assign_mutex_, pool_mutex_, registry_mutex_);
+      DOCS_ACQUIRED_BEFORE(assign_mutex_, registry_mutex_);
   /// Lease books, logical clock and submission books; taken after state and
   /// any shard stripe, never before one. The ONLY lock the lease paths
   /// (sweeps, grants, releases) need.
-  Mutex assign_mutex_ DOCS_ACQUIRED_BEFORE(pool_mutex_);
-  /// Scoring-pool try-lock (DESIGN.md §13): the loser scores serially.
-  Mutex pool_mutex_;
+  Mutex assign_mutex_ DOCS_ACQUIRED_BEFORE(registry_mutex_);
   WorkerShard shards_[kNumShards];
   /// Worker registry: external id → dense index, mirrored from the state
   /// table so the serving calls resolve ids without the state lock. Writers

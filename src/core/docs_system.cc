@@ -14,25 +14,8 @@ DocsSystem::DocsSystem(const kb::KnowledgeBase* knowledge_base,
                        DocsSystemOptions options)
     : kb_(knowledge_base),
       options_(std::move(options)),
-      dve_(knowledge_base, options_.linker) {
-  // One knob steers every hot loop: a nonzero system-level thread count
-  // overrides the embedded engines' settings. The pool is shared too — the
-  // periodic re-inference runs on ScoringPool() rather than letting the
-  // embedded engine build a second hardware-sized pool of its own.
-  if (options_.num_threads != 0) {
-    options_.truth_inference.num_threads = options_.num_threads;
-    options_.assigner.num_threads = options_.num_threads;
-  }
-}
-
-ThreadPool* DocsSystem::ScoringPool() {
-  const size_t threads = EffectiveThreadCount(options_.num_threads);
-  if (threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->num_threads() != threads) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return pool_.get();
-}
+      dve_(knowledge_base, options_.linker),
+      pool_(options_.num_threads) {}
 
 BenefitIndex* DocsSystem::IndexRow(size_t worker) {
   if (benefit_index_.size() <= worker) benefit_index_.resize(worker + 1);
@@ -43,7 +26,7 @@ size_t DocsSystem::SyncIndex(const std::vector<size_t>& answered,
                              BenefitIndex* index,
                              const std::function<double(size_t)>& score,
                              uint64_t worker_epoch, uint64_t generation,
-                             ThreadPool* pool, const InferenceSnapshot* snap) {
+                             const InferenceSnapshot* snap) {
   const size_t n = tasks_.size();
   // One change feed: the engine's mutation log, read live on the exclusive
   // path and from the window the snapshot carries on the snapshot path. The
@@ -78,7 +61,7 @@ size_t DocsSystem::SyncIndex(const std::vector<size_t>& answered,
     // eligible again, so indexing them would waste scoring and, worse, make
     // the frontier walk skip them on every pass until its budget runs out.
     index->Rebuild(n, worker_epoch, generation, log_end, &answered, score,
-                   pool);
+                   &pool_);
     scored = index->size();
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -107,11 +90,11 @@ std::vector<size_t> DocsSystem::RankWithIndex(
     const std::function<double(size_t)>& score, uint64_t worker_epoch,
     uint64_t generation, const std::function<bool(size_t)>& eligible_one,
     const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
-    ThreadPool* pool, const InferenceSnapshot* snap) {
+    const InferenceSnapshot* snap) {
   // A request for nothing ranks nothing: no rebuild, no repair, no tally.
   if (k == 0) return {};
   const size_t scored =
-      SyncIndex(answered, index, score, worker_epoch, generation, pool, snap);
+      SyncIndex(answered, index, score, worker_epoch, generation, snap);
   std::vector<size_t> selected;
   uint64_t pops = 0;
   // The frontier walk may skip ineligible entries (leased-out tasks, capped
@@ -291,7 +274,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
       MakeScoreFn(inference_->worker_quality(worker).quality, nullptr,
                   quality_scratch_),
       inference_->worker_epoch(worker), inference_->generation(),
-      eligible_one, eligible_bitmap, ScoringPool(), nullptr);
+      eligible_one, eligible_bitmap, nullptr);
   GrantLeases(worker, selected);
   return selected;
 }
@@ -404,7 +387,7 @@ std::vector<double> DocsSystem::ScoreAllTasks(size_t worker, bool cold) {
   const std::function<double(size_t)> score = MakeScoreFn(
       inference_->worker_quality(worker).quality, nullptr, quality_scratch_);
   if (cold) {
-    ParallelFor(ScoringPool(), tasks_.size(),
+    ParallelFor(&pool_, tasks_.size(),
                 [&](size_t i) { scores[i] = score(i); });
     return scores;
   }
@@ -412,7 +395,7 @@ std::vector<double> DocsSystem::ScoreAllTasks(size_t worker, bool cold) {
   // request-level tally does not move.
   BenefitIndex* index = IndexRow(worker);
   SyncIndex(Booked(worker), index, score, inference_->worker_epoch(worker),
-            inference_->generation(), ScoringPool(), nullptr);
+            inference_->generation(), nullptr);
   uint64_t excluded = 0;
   for (size_t i = 0; i < tasks_.size(); ++i) {
     if (index->contains(i)) {
@@ -589,7 +572,7 @@ bool DocsSystem::AbsorbAnswer(size_t worker, size_t task, size_t choice) {
 }
 
 void DocsSystem::Reinfer() {
-  inference_->RunFullInference(ScoringPool());
+  inference_->RunFullInference(&pool_);
   answers_since_reinfer_ = 0;
   generation_invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -604,9 +587,8 @@ Status DocsSystem::ApplyAnswer(size_t worker, size_t task, size_t choice) {
   if (!AbsorbAnswer(worker, task, choice)) {
     return InternalError("inference rejected a booked answer");
   }
-  // Delayed full inference every z submissions (Section 4.2), on the shared
-  // scoring pool — the embedded engine must not stack a second
-  // hardware-sized pool on top of ours.
+  // Delayed full inference every z submissions (Section 4.2), on the
+  // system's one pool.
   if (options_.reinfer_every > 0 &&
       ++answers_since_reinfer_ >= options_.reinfer_every) {
     Reinfer();
@@ -703,7 +685,7 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
 
 std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
     const InferenceSnapshot& snap, size_t worker, ShardScratch& scratch,
-    size_t k, ThreadPool* pool) {
+    size_t k) {
   const WorkerSnapshot& view = *snap.workers[worker];
   // The index syncs against the snapshot's worker epoch, generation and
   // mutation-log window: an index built on newer state (its cursor past the
@@ -721,8 +703,7 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
     return scratch.eligible;
   };
   return RankWithIndex(scratch.answered, view.index, k, score, view.epoch,
-                       snap.generation, eligible_one, eligible_bitmap, pool,
-                       &snap);
+                       snap.generation, eligible_one, eligible_bitmap, &snap);
 }
 
 void DocsSystem::OnAnswer(size_t worker, size_t task, size_t choice) {

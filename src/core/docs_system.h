@@ -116,11 +116,10 @@ struct DocsSystemOptions {
   /// Display name override (the D-Max configuration reports "D-Max").
   std::string display_name = "DOCS";
   /// Threads applied to the serving hot loops: benefit/match/entropy scoring
-  /// in SelectTasks, and the EM sweep / recompute fan-out of the embedded
-  /// inference engine — all served by ONE pool of this size (the periodic
-  /// re-inference runs on the scoring pool instead of building its own, so a
-  /// DocsSystem never stacks multiple hardware-sized pools). When nonzero it
-  /// also overrides truth_inference.num_threads for standalone engine use.
+  /// in SelectTasks and on snapshots, and the EM sweep / recompute fan-out of
+  /// the embedded inference engine — all served by ONE pool of this size,
+  /// built with the system and shared by concurrent callers (the engine's
+  /// own truth_inference.num_threads is not used here).
   /// 0 = hardware concurrency, 1 = the historical sequential behavior.
   /// Results are bit-identical for every value; see DESIGN.md §8.
   size_t num_threads = 0;
@@ -277,13 +276,11 @@ class DocsSystem : public AssignmentPolicy {
   void BeginShardedSelect(size_t worker, ShardScratch& scratch);
 
   /// Phase 2: scores `scratch.eligible` against `snap` (never touching live
-  /// inference state) and returns the provisional top-k. `pool` is the
-  /// shared scoring pool when the caller won it, nullptr to score serially —
-  /// results are bit-identical either way (DESIGN.md §8).
+  /// inference state) on the system's pool, which concurrent passes share,
+  /// and returns the provisional top-k.
   std::vector<size_t> ScoreAndRankSnapshot(const InferenceSnapshot& snap,
                                            size_t worker,
-                                           ShardScratch& scratch, size_t k,
-                                           ThreadPool* pool);
+                                           ShardScratch& scratch, size_t k);
 
   /// Phase 3: re-validates the selection against leases granted since the
   /// snapshot and commits the grants. False (nothing committed) when a
@@ -292,12 +289,6 @@ class DocsSystem : public AssignmentPolicy {
   /// tasks are dropped and the remainder committed instead.
   bool CommitShardedSelect(size_t worker, std::vector<size_t>* selected,
                            bool force);
-
-  /// Lazily built pool shared by every hot loop the system drives —
-  /// SelectTasks scoring and the embedded engine's periodic full inference;
-  /// nullptr when configured sequential. Snapshot scorers must hold the
-  /// facade's pool lock.
-  ThreadPool* ScoringPool();
 
   /// Checks one submission against the submission books: no tasks ingested
   /// (FailedPrecondition), unknown task (InvalidArgument), out-of-range
@@ -368,14 +359,14 @@ class DocsSystem : public AssignmentPolicy {
 
   /// Syncs `index` to (worker_epoch, generation) and returns how many
   /// scores that computed: a full rebuild (leaving out the worker's
-  /// `answered` tasks, ascending; scored over `pool`) on a tag mismatch or a
+  /// `answered` tasks, ascending; scored over the pool) on a tag mismatch or a
   /// cursor outside the mutation-log window, targeted repairs from the window
   /// otherwise. The window is the live engine's (`snap` null) or the one the
   /// snapshot carries. Adds the count to benefit_cache_misses.
   size_t SyncIndex(const std::vector<size_t>& answered, BenefitIndex* index,
                    const std::function<double(size_t)>& score,
                    uint64_t worker_epoch, uint64_t generation,
-                   ThreadPool* pool, const InferenceSnapshot* snap);
+                   const InferenceSnapshot* snap);
 
   /// The scan fallback: every task `eligible` marks, valued from the synced
   /// `index` (which contains them all — the tasks it leaves out are booked
@@ -395,7 +386,7 @@ class DocsSystem : public AssignmentPolicy {
       const std::function<double(size_t)>& score, uint64_t worker_epoch,
       uint64_t generation, const std::function<bool(size_t)>& eligible_one,
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
-      ThreadPool* pool, const InferenceSnapshot* snap);
+      const InferenceSnapshot* snap);
 
   /// The worker's benefit index, growing the container as needed (exclusive
   /// path only — the snapshot path reaches the index through its published
@@ -447,7 +438,11 @@ class DocsSystem : public AssignmentPolicy {
   /// detection read. Facade's assign lock.
   std::vector<std::vector<size_t>> answered_;
   std::vector<size_t> answers_per_task_;
-  std::unique_ptr<ThreadPool> pool_;  // see ScoringPool()
+  /// The one pool every hot loop the system drives fans out on — index
+  /// rebuilds (exclusive and snapshot paths alike) and the engine's periodic
+  /// full inference. Built once from options_.num_threads; concurrent
+  /// callers share it (DESIGN.md §8).
+  ThreadPool pool_;
   /// Per-worker benefit indexes (DESIGN.md §16), the one memo of benefit
   /// scores. A deque (not a vector) so an index keeps its address when later
   /// workers register — published snapshots carry raw index pointers

@@ -221,15 +221,6 @@ void IncrementalTruthInference::RecomputeTask(size_t task,
                       "recomputed task truth (Eq. 4)");
 }
 
-void IncrementalTruthInference::RunFullInference() {
-  const size_t threads = EffectiveThreadCount(options_.num_threads);
-  if (threads > 1 &&
-      (pool_ == nullptr || pool_->num_threads() != threads)) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  RunFullInference(threads > 1 ? pool_.get() : nullptr);
-}
-
 void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   std::vector<WorkerQuality> seeds;
   seeds.reserve(workers_.size());

@@ -1,7 +1,6 @@
 #ifndef DOCS_CORE_INCREMENTAL_TI_H_
 #define DOCS_CORE_INCREMENTAL_TI_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/matrix.h"
@@ -50,14 +49,9 @@ class IncrementalTruthInference {
 
   /// Re-runs the iterative algorithm of Section 4.1 on all stored answers,
   /// starting from the seed qualities, and replaces the incremental state
-  /// with the converged parameters. Parallelized over a lazily built pool of
-  /// options().num_threads threads.
-  void RunFullInference();
-
-  /// As above but executes on a caller-provided pool (ignoring
-  /// options().num_threads and never building an own pool), so a surrounding
-  /// system can serve every hot loop from one pool instead of stacking
-  /// hardware-sized pools per engine. `pool == nullptr` runs sequentially.
+  /// with the converged parameters. Executes on the caller's pool (ignoring
+  /// options().num_threads), so a surrounding system serves every hot loop
+  /// from one pool. `pool == nullptr` runs sequentially.
   void RunFullInference(ThreadPool* pool);
 
   const std::vector<double>& task_truth(size_t task) const {
@@ -166,10 +160,6 @@ class IncrementalTruthInference {
   /// buffer suffices): the s̃_i snapshot, reused across calls so the
   /// per-answer update is allocation-free.
   std::vector<double> old_truth_scratch_;
-  /// Pool for RunFullInference (the batch EM plus the per-task recompute
-  /// fan-out), built lazily from options_.num_threads and reused across the
-  /// periodic re-runs.
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace docs::core

@@ -161,8 +161,7 @@ class TruthInference {
   TruthInferenceOptions options_;
   /// Lazily built pool of options().num_threads threads, reused across Run()
   /// calls. Mutable because Run() is logically const; TruthInference itself
-  /// is not safe for concurrent use from multiple threads (the serving path
-  /// already serializes on ConcurrentDocsSystem's mutex).
+  /// is not safe for concurrent use from multiple threads.
   mutable std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -29,6 +29,20 @@ void AppendDedupPayload(const std::string& worker_id, uint64_t request_id,
   AppendHex(worker_id, out);
 }
 
+/// Splits on single spaces, keeping empty fields: the empty worker id's hex
+/// is the empty last field of its record (`reg `, `ans 1 2 0 `).
+std::vector<std::string> SplitFields(const std::string& payload) {
+  std::vector<std::string> fields;
+  size_t begin = 0;
+  for (size_t space = payload.find(' '); space != std::string::npos;
+       space = payload.find(' ', begin)) {
+    fields.push_back(payload.substr(begin, space - begin));
+    begin = space + 1;
+  }
+  fields.push_back(payload.substr(begin));
+  return fields;
+}
+
 bool ParseU64(const std::string& field, uint64_t* value) {
   if (field.empty()) return false;
   errno = 0;
@@ -60,8 +74,7 @@ std::string SerializeRecord(const AnswerWal::Record& record) {
 
 bool ParseWalRecord(const std::string& payload, AnswerWal::Record* record) {
   using Kind = AnswerWal::Record::Kind;
-  const std::vector<std::string> fields = Split(payload, " ");
-  if (fields.empty()) return false;
+  const std::vector<std::string> fields = SplitFields(payload);
   if (fields[0] == "reg") {
     if (fields.size() != 2) return false;
     record->kind = Kind::kRegister;
@@ -98,6 +111,8 @@ StatusOr<AnswerWal> AnswerWal::Open(const std::string& path,
   if (DOCS_FAULT_POINT(kFaultWalReplay)) {
     return IoError("injected wal replay failure: " + path);
   }
+  Contents discarded;
+  if (contents == nullptr) contents = &discarded;
   contents->records.clear();
   contents->tail_truncated = false;
 

@@ -63,8 +63,9 @@ class AnswerWal {
   };
 
   /// Opens (creating if needed) the WAL at `path`, filling `*contents` with
-  /// every valid record. If the file ended in a torn record the tail is
-  /// compacted away before returning, so the WAL is always append-safe.
+  /// every valid record (`contents` may be null: the records are validated
+  /// and dropped). If the file ended in a torn record the tail is compacted
+  /// away before returning, so the WAL is always append-safe.
   [[nodiscard]] static StatusOr<AnswerWal> Open(const std::string& path,
                                                 Contents* contents);
 

@@ -240,8 +240,8 @@ TEST_F(ConcurrencyTest, ShardedServingPathHammeredByRequestersAndMutators) {
   options.golden_count = 4;
   options.reinfer_every = 20;  // exclusive-path RunFullInference mid-hammer
   options.lease_duration = 4;
-  options.num_threads = 2;  // scoring-pool contention exercises the try-lock
-                            // serial fallback
+  options.num_threads = 2;  // concurrent scorers and the EM pass share the
+                            // pool's one helper thread
   ConcurrentDocsSystem system(&kb_->knowledge_base, options);
   std::vector<TaskInput> inputs;
   for (const auto& task : dataset.tasks) {

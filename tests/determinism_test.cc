@@ -101,14 +101,13 @@ TEST(DeterminismTest, IncrementalFullInferenceSweepIsByteIdentical) {
   const Instance instance = MakeInstance(80, 6, 25, 33);
 
   auto run = [&](size_t threads) {
-    TruthInferenceOptions options;
-    options.num_threads = threads;
-    IncrementalTruthInference engine(instance.tasks, options);
+    IncrementalTruthInference engine(instance.tasks);
     for (const Answer& answer : instance.answers) {
       EXPECT_TRUE(engine.OnAnswer(answer.worker, answer.task, answer.choice)
                       .ok());
     }
-    engine.RunFullInference();
+    ThreadPool pool(threads);
+    engine.RunFullInference(&pool);
     return engine;
   };
 

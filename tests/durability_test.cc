@@ -603,6 +603,55 @@ TEST_F(DurabilityTest, CheckpointAcceptsIdsWithWhitespace) {
   EXPECT_EQ(replayed->InferredChoices(), reference->InferredChoices());
 }
 
+/// The empty worker id is accepted on the wire and by RequestTasks; its WAL
+/// records end in an empty hex field. Registering it, answering, a
+/// checkpoint, more answers, then a crash must recover exactly, bitwise equal
+/// to an uninterrupted run.
+TEST_F(DurabilityTest, EmptyWorkerIdSurvivesCheckpointAndCrash) {
+  const std::string dir = FreshDir("dur_empty_id");
+  const std::vector<std::string> ids = {"", "plain"};
+  std::vector<Acked> acked;
+  size_t after_checkpoint = 0;
+  {
+    auto system = LoadedSystem();
+    DurableDocsSystem durable(system.get(), {dir});
+    ASSERT_TRUE(durable.Recover().ok());
+    uint64_t rid = 0;
+    auto answer = [&](const std::string& worker, size_t task) {
+      ASSERT_TRUE(durable.SubmitAnswer(worker, task, task % 2, ++rid).ok());
+      acked.emplace_back(worker, task, task % 2);
+    };
+    Register(durable, ids[0]);
+    for (size_t task = 0; task < 6; ++task) answer(ids[0], task);
+    ASSERT_TRUE(durable.Checkpoint().ok());
+    Register(durable, ids[1]);
+    for (size_t task = 6; task < 12; ++task) answer(ids[0], task);
+    for (size_t task = 0; task < 6; ++task) answer(ids[1], task);
+    after_checkpoint = 12;
+  }  // crash: the last six answers of "" and all of "plain" live in the WAL
+
+  auto replayed = EmptySystem();
+  DurableDocsSystem recovered(replayed.get(), {dir});
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.stats().answers_recovered, after_checkpoint);
+  EXPECT_EQ(replayed->WorkerIds(), ids);
+  EXPECT_EQ(RecoveredAnswers(*replayed), acked);
+
+  auto reference = LoadedSystem();
+  reference->WithLocked([&](DocsSystem& inner) {
+    for (const std::string& id : ids) (void)inner.WorkerIndex(id);
+    return 0;
+  });
+  for (const Acked& answer : acked) {
+    ASSERT_TRUE(reference
+                    ->SubmitAnswer(std::get<0>(answer), std::get<1>(answer),
+                                   std::get<2>(answer))
+                    .ok());
+  }
+  EXPECT_TRUE(BitwiseEqual(Posterior(*replayed), Posterior(*reference)));
+  EXPECT_EQ(replayed->InferredChoices(), reference->InferredChoices());
+}
+
 TEST_F(DurabilityTest, PeriodicCheckpointFiresEveryN) {
   const std::string dir = FreshDir("dur_periodic");
   auto system = LoadedSystem();

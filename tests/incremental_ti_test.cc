@@ -155,6 +155,7 @@ TEST(IncrementalTiTest, RetroUpdateKeepsQualitiesInRange) {
   TruthInferenceOptions options;
   options.quality_prior_strength = 0.0;  // the paper's exact update
   IncrementalTruthInference engine(std::move(tasks), options);
+  ThreadPool pool;
 
   auto all_in_range = [&] {
     for (size_t w = 0; w < engine.num_workers(); ++w) {
@@ -175,7 +176,7 @@ TEST(IncrementalTiTest, RetroUpdateKeepsQualitiesInRange) {
       all_in_range();
     }
     if (i % 4 == 3) {
-      engine.RunFullInference();
+      engine.RunFullInference(&pool);
       all_in_range();
     }
   }
@@ -222,7 +223,8 @@ TEST(IncrementalTiTest, FullInferenceRestoresBatchParity) {
   EXPECT_GT(drift_before, 0.0);   // the one-pass estimates do drift...
   EXPECT_LT(drift_before, 0.25);  // ...but stay near the batch fixed point.
 
-  engine.RunFullInference();
+  ThreadPool pool;
+  engine.RunFullInference(&pool);
   for (size_t w = 0; w < engine.num_workers(); ++w) {
     EXPECT_EQ(engine.worker_quality(w).quality,
               reference.worker_quality[w].quality)
@@ -254,7 +256,8 @@ TEST(IncrementalTiTest, RunFullInferenceMatchesBatchEngine) {
       ASSERT_TRUE(incremental.OnAnswer(w, i, choice).ok());
     }
   }
-  incremental.RunFullInference();
+  ThreadPool pool;
+  incremental.RunFullInference(&pool);
 
   TruthInference batch(incremental.options());
   auto reference = batch.Run(tasks, incremental.num_workers(), answers);
@@ -431,7 +434,8 @@ TEST(IncrementalTiTest, QualitySeedBumpsEpochAndFullInferenceBumpsGeneration) {
   // generation bump — O(1) invalidation of every benefit index. The per-item
   // epochs must NOT move: walking every task and worker to bump them is
   // exactly the O(n) cost the generation exists to avoid.
-  engine.RunFullInference();
+  ThreadPool pool;
+  engine.RunFullInference(&pool);
   EXPECT_EQ(engine.generation(), generation + 1);
   EXPECT_EQ(engine.task_epoch(0), task0);
   EXPECT_EQ(engine.task_epoch(1), task1);

@@ -1,6 +1,7 @@
 // Unit and stress tests for the deterministic thread pool
 // (src/common/parallel.h): chunk math, full index coverage, thread-count
-// invariance of chunk-ordered reductions, and reuse across many regions.
+// invariance of chunk-ordered reductions, reuse across many regions, and
+// several callers sharing one pool.
 // scripts/ci.sh also runs this binary under TSan (DOCS_SANITIZE=thread).
 
 #include "common/parallel.h"
@@ -10,6 +11,8 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,16 +157,13 @@ TEST(ThreadPoolTest, StressManySmallRegions) {
   EXPECT_EQ(total.load(), 500ull * (15 * 16 / 2));
 }
 
-// Regression stress for the straggler race: with far more threads than
-// chunks, most workers wake up, find every chunk already claimed, and run
-// nothing. Before chunk claims were generation-checked, a worker that
-// stalled between picking up a job and its first claim could — once the
-// next Run() reset the chunk counter — claim a chunk of the NEW job and
-// execute it through the dangling fn of the OLD one (whose stack lambda was
-// already destroyed). Back-to-back tiny regions whose bodies capture
-// round-owned stack state make any such cross-talk a visible wrong value
-// here and a use-after-free under ASan/TSan (scripts/ci.sh runs this binary
-// under both).
+// Stress for stragglers: with far more threads than chunks, most workers
+// wake up, find every chunk already claimed, and run nothing. A worker may
+// only ever run a chunk of a job that is still registered, through that
+// job's own body; one that ran a chunk of a finished region through its
+// (destroyed) stack lambda would show here as a wrong value, and as a
+// use-after-free under ASan/TSan (scripts/ci.sh runs this binary under
+// both).
 TEST(ThreadPoolTest, StressBackToBackTinyRegionsWithDistinctBodies) {
   ThreadPool pool(8);
   for (size_t round = 0; round < 2000; ++round) {
@@ -203,6 +203,130 @@ TEST(ThreadPoolTest, InlinePathPropagatesExceptions) {
   std::atomic<uint64_t> sum{0};
   pool.Run(4, [&](size_t c) { sum.fetch_add(c); });
   EXPECT_EQ(sum.load(), 6u);
+}
+
+// Several callers share one pool, each running its own bodies: every chunk
+// of every region runs exactly once, and each caller's slot writes and
+// chunk-ordered sums equal its serial run bitwise.
+TEST(ThreadPoolTest, ConcurrentCallersMatchTheirSerialRuns) {
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 150;
+  constexpr size_t kChunks = 37;
+  auto value = [](size_t caller, size_t round, size_t c) {
+    return std::sin(static_cast<double>(caller * 7919 + round * 104729 + c)) *
+           std::pow(10.0, static_cast<double>(c % 11) - 5.0);
+  };
+  ThreadPool pool(4);
+  std::vector<std::string> failures(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t caller = 0; caller < kCallers; ++caller) {
+    callers.emplace_back([&, caller] {
+      for (size_t round = 0; round < kRounds && failures[caller].empty();
+           ++round) {
+        std::vector<double> serial(kChunks);
+        for (size_t c = 0; c < kChunks; ++c) {
+          serial[c] = value(caller, round, c);
+        }
+        std::vector<double> got(kChunks, 0.0);
+        std::vector<std::atomic<uint32_t>> hits(kChunks);
+        for (auto& h : hits) h.store(0);
+        pool.Run(kChunks, [&](size_t c) {
+          hits[c].fetch_add(1);
+          got[c] = value(caller, round, c);
+        });
+        double serial_sum = 0.0;
+        ParallelReduce(
+            nullptr, kChunks * kParallelGrain, serial_sum,
+            [&](size_t begin, size_t end, double& partial) {
+              for (size_t i = begin; i < end; ++i) {
+                partial += value(caller, round, i);
+              }
+            },
+            [](double& acc, const double& partial) { acc += partial; });
+        double pooled_sum = 0.0;
+        ParallelReduce(
+            &pool, kChunks * kParallelGrain, pooled_sum,
+            [&](size_t begin, size_t end, double& partial) {
+              for (size_t i = begin; i < end; ++i) {
+                partial += value(caller, round, i);
+              }
+            },
+            [](double& acc, const double& partial) { acc += partial; });
+        for (size_t c = 0; c < kChunks; ++c) {
+          if (hits[c].load() != 1) {
+            failures[caller] = "chunk ran " + std::to_string(hits[c].load()) +
+                               " times";
+          }
+        }
+        // Exact equality, not approximate.
+        if (got != serial) failures[caller] = "slot output differs";
+        if (pooled_sum != serial_sum) failures[caller] = "sum differs";
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t caller = 0; caller < kCallers; ++caller) {
+    EXPECT_EQ(failures[caller], "") << "caller " << caller;
+  }
+}
+
+// A caller parked inside one of its own chunks must not hold up another
+// caller's region: the second caller drains its own job even while every
+// worker is parked in the first one.
+TEST(ThreadPoolTest, ParkedCallerDoesNotBlockAnotherCaller) {
+  ThreadPool pool(2);
+  std::atomic<size_t> parked{0};
+  std::atomic<bool> release{false};
+  std::thread blocker([&] {
+    pool.Run(4, [&](size_t) {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (parked.load() == 0) std::this_thread::yield();
+  std::vector<size_t> slots(64, 0);
+  pool.Run(slots.size(), [&](size_t c) { slots[c] = c + 1; });
+  for (size_t c = 0; c < slots.size(); ++c) EXPECT_EQ(slots[c], c + 1);
+  release.store(true);
+  blocker.join();
+  EXPECT_EQ(parked.load(), 4u);
+}
+
+// An exception thrown by one caller's body surfaces from that caller's Run()
+// only, even when a worker helping both jobs is the thread that caught it.
+TEST(ThreadPoolTest, ExceptionSurfacesOnlyFromItsOwnCaller) {
+  constexpr size_t kRounds = 300;
+  ThreadPool pool(4);
+  std::atomic<size_t> thrower_caught{0};
+  std::atomic<size_t> clean_caught{0};
+  std::atomic<size_t> clean_bad_sums{0};
+  std::thread thrower([&] {
+    for (size_t round = 0; round < kRounds; ++round) {
+      try {
+        pool.Run(32, [](size_t c) {
+          if (c % 5 == 2) throw std::runtime_error("thrower");
+        });
+      } catch (const std::runtime_error&) {
+        thrower_caught.fetch_add(1);
+      }
+    }
+  });
+  std::thread clean([&] {
+    for (size_t round = 0; round < kRounds; ++round) {
+      std::atomic<uint64_t> sum{0};
+      try {
+        pool.Run(32, [&](size_t c) { sum.fetch_add(c); });
+      } catch (...) {
+        clean_caught.fetch_add(1);
+      }
+      if (sum.load() != 32ull * 31 / 2) clean_bad_sums.fetch_add(1);
+    }
+  });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(thrower_caught.load(), kRounds);
+  EXPECT_EQ(clean_caught.load(), 0u);
+  EXPECT_EQ(clean_bad_sums.load(), 0u);
 }
 
 }  // namespace

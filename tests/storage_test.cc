@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 
+#include "storage/answer_wal.h"
 #include "storage/state_checkpoint.h"
 #include "storage/worker_store.h"
 
@@ -52,6 +54,83 @@ TEST(StateCheckpointTest, SaveOverMidFileCorruptedCheckpointSucceeds) {
   auto loaded = LoadStateCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->answers.size(), 3u);
+}
+
+/// The empty worker id is a legal id on the wire: its records (`reg `,
+/// `ans <id> <task> <choice> `, `dedup <id> <CODE> `) end in an empty hex
+/// field, and Open must parse them back rather than refuse the whole log.
+/// Writes one record of each kind through `write` (after a plain `reg w1`),
+/// and returns what a reopen reads.
+AnswerWal::Contents RoundTrip(const std::string& name,
+                              const std::function<Status(AnswerWal&)>& write) {
+  const std::string path = TempPath(name);
+  std::remove(path.c_str());
+  AnswerWal::Contents contents;
+  {
+    auto wal = AnswerWal::Open(path, &contents);
+    EXPECT_TRUE(wal.ok()) << wal.status().ToString();
+    if (!wal.ok()) return {};
+    EXPECT_TRUE(wal->AppendRegistration("w1").ok());
+    EXPECT_TRUE(write(*wal).ok());
+  }
+  auto wal = AnswerWal::Open(path, &contents);
+  EXPECT_TRUE(wal.ok()) << wal.status().ToString();
+  return contents;
+}
+
+TEST(AnswerWalTest, EmptyWorkerIdRegistrationRoundTrips) {
+  const AnswerWal::Contents contents =
+      RoundTrip("wal_empty_reg.log",
+                [](AnswerWal& wal) { return wal.AppendRegistration(""); });
+  ASSERT_EQ(contents.records.size(), 2u);
+  EXPECT_EQ(contents.records[0].worker_id, "w1");
+  EXPECT_EQ(contents.records[1].kind, AnswerWal::Record::Kind::kRegister);
+  EXPECT_EQ(contents.records[1].worker_id, "");
+}
+
+TEST(AnswerWalTest, EmptyWorkerIdAnswerRoundTrips) {
+  const AnswerWal::Contents contents =
+      RoundTrip("wal_empty_ans.log",
+                [](AnswerWal& wal) { return wal.AppendAnswer("", 7, 3, 1); });
+  ASSERT_EQ(contents.records.size(), 2u);
+  const AnswerWal::Record& answer = contents.records[1];
+  EXPECT_EQ(answer.kind, AnswerWal::Record::Kind::kAnswer);
+  EXPECT_EQ(answer.worker_id, "");
+  EXPECT_EQ(answer.request_id, 7u);
+  EXPECT_EQ(answer.task, 3u);
+  EXPECT_EQ(answer.choice, 1u);
+}
+
+TEST(AnswerWalTest, EmptyWorkerIdDedupRoundTrips) {
+  const AnswerWal::Contents contents =
+      RoundTrip("wal_empty_dedup.log", [](AnswerWal& wal) {
+        return wal.ResetTo([](const AnswerWal::DedupSink& sink) {
+          sink("", 7, StatusCode::kOk);
+          sink("w1", 2, StatusCode::kAlreadyExists);
+        });
+      });
+  ASSERT_EQ(contents.records.size(), 2u);
+  EXPECT_EQ(contents.records[0].kind, AnswerWal::Record::Kind::kDedup);
+  EXPECT_EQ(contents.records[0].worker_id, "");
+  EXPECT_EQ(contents.records[0].request_id, 7u);
+  EXPECT_EQ(contents.records[0].code, StatusCode::kOk);
+  EXPECT_EQ(contents.records[1].worker_id, "w1");
+  EXPECT_EQ(contents.records[1].code, StatusCode::kAlreadyExists);
+}
+
+/// Open(path, nullptr) validates the log and drops the records, the way
+/// LogStore::Open accepts a null out-parameter.
+TEST(AnswerWalTest, OpenAcceptsNullContents) {
+  const std::string path = TempPath("wal_null_contents.log");
+  std::remove(path.c_str());
+  {
+    auto wal = AnswerWal::Open(path, nullptr);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE(wal->AppendAnswer("w0", 1, 2, 0).ok());
+  }
+  auto wal = AnswerWal::Open(path, nullptr);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  EXPECT_EQ(wal->record_count(), 1u);
 }
 
 TEST(WorkerQualityRecordTest, FreshRecord) {

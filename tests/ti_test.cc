@@ -600,7 +600,8 @@ TEST(TruthInferenceTest, LogTableStepMatchesPerAnswerReference) {
           incremental.OnAnswer(answer.worker, answer.task, answer.choice).ok());
       answers_of_task[answer.task].push_back(answer);
     }
-    incremental.RunFullInference();
+    ThreadPool pool(threads);
+    incremental.RunFullInference(&pool);
     std::vector<WorkerQuality> converged;
     for (size_t w = 0; w < num_workers; ++w) {
       converged.push_back(incremental.worker_quality(w));

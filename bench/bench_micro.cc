@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks of the hot kernels behind the paper's
 // complexity claims: Algorithm 1 (DVE), the TI step, the OTA benefit
 // computation, golden-count approximation, the worker store, the serving
-// score memo's bytes per (worker, task) pair and the durable layer's
-// dedup-window memory.
+// score memo's bytes per (worker, task) pair, the snapshot publish and the
+// durable layer's dedup-window memory.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -39,11 +40,13 @@
 // here). Scalar and array forms share one counter; the sized/aligned delete
 // variants all forward to free() as malloc-backed storage requires.
 
-// The forwarders also keep live and high-water byte counts (by
-// malloc_usable_size) for BM_DedupWindowBytes' checkpoint peak.
+// The forwarders also keep live, high-water and cumulative byte counts (by
+// malloc_usable_size) for BM_DedupWindowBytes' checkpoint peak and
+// BM_PublishAfterAnswer's bytes per iteration.
 
 namespace {
 std::atomic<uint64_t> g_heap_allocations{0};
+std::atomic<uint64_t> g_heap_allocated_bytes{0};
 std::atomic<int64_t> g_heap_live_bytes{0};
 std::atomic<int64_t> g_heap_peak_bytes{0};
 
@@ -52,6 +55,8 @@ void* CountedMalloc(std::size_t size) {
   if (p == nullptr) throw std::bad_alloc();
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+  g_heap_allocated_bytes.fetch_add(static_cast<uint64_t>(bytes),
+                                   std::memory_order_relaxed);
   const int64_t live =
       g_heap_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   int64_t peak = g_heap_peak_bytes.load(std::memory_order_relaxed);
@@ -94,6 +99,10 @@ namespace {
 
 uint64_t HeapAllocations() {
   return g_heap_allocations.load(std::memory_order_relaxed);
+}
+
+uint64_t HeapAllocatedBytes() {
+  return g_heap_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 int64_t HeapLiveBytes() {
@@ -367,6 +376,18 @@ std::unique_ptr<core::DocsSystem> MakeServingSystem(size_t num_tasks) {
   return system;
 }
 
+// The quiet serving system of each task count, built on first use and kept
+// for the process: repetitions (scripts/bench.sh runs five) and the
+// Warm/WarmScan/Cold families re-measure one system instead of rebuilding a
+// 100k-task campaign each time. None of them moves its inference state.
+core::DocsSystem& SharedServingSystem(size_t num_tasks) {
+  static auto* systems =
+      new std::map<size_t, std::unique_ptr<core::DocsSystem>>();
+  std::unique_ptr<core::DocsSystem>& system = (*systems)[num_tasks];
+  if (system == nullptr) system = MakeServingSystem(num_tasks);
+  return *system;
+}
+
 // Times `rank` (one ranking pass returning the selected tasks) and reports
 // allocs/op. One untimed pass warms the index heap and the scratch arenas.
 template <typename Rank>
@@ -400,10 +421,10 @@ std::vector<size_t> RankEligible(const core::DocsSystem& system, size_t worker,
 }
 
 void ServeRequestTasksLoop(benchmark::State& state, size_t num_tasks) {
-  auto system = MakeServingSystem(num_tasks);
-  const size_t worker = system->WorkerIndex("bench_w0");
+  core::DocsSystem& system = SharedServingSystem(num_tasks);
+  const size_t worker = system.WorkerIndex("bench_w0");
   CountedRankingLoop(state,
-                     [&] { return system->SelectTasks(worker, kServeK); });
+                     [&] { return system.SelectTasks(worker, kServeK); });
 }
 
 void BM_ServeRequestTasksWarm(benchmark::State& state) {
@@ -421,12 +442,13 @@ BENCHMARK(BM_ServeRequestTasksWarmSweep)
     ->ArgName("n");
 
 void BM_ServeRequestTasksWarmScan(benchmark::State& state) {
-  auto system = MakeServingSystem(static_cast<size_t>(state.range(0)));
-  const size_t worker = system->WorkerIndex("bench_w0");
+  core::DocsSystem& system =
+      SharedServingSystem(static_cast<size_t>(state.range(0)));
+  const size_t worker = system.WorkerIndex("bench_w0");
   CountedRankingLoop(state, [&] {
     const std::vector<double> scores =
-        system->ScoreAllTasks(worker, /*cold=*/false);
-    return RankEligible(*system, worker, [&](size_t i) { return scores[i]; });
+        system.ScoreAllTasks(worker, /*cold=*/false);
+    return RankEligible(system, worker, [&](size_t i) { return scores[i]; });
   });
 }
 BENCHMARK(BM_ServeRequestTasksWarmScan)
@@ -439,14 +461,14 @@ BENCHMARK(BM_ServeRequestTasksWarmScan)
 // per (task, answer) pair; the fused kernel stages everything in `scratch`.
 void ServeRequestTasksColdLoop(benchmark::State& state,
                                core::BenefitScratch* scratch) {
-  auto system = MakeServingSystem(512);
-  const size_t worker = system->WorkerIndex("bench_w0");
-  const core::IncrementalTruthInference& inference = system->inference();
+  core::DocsSystem& system = SharedServingSystem(512);
+  const size_t worker = system.WorkerIndex("bench_w0");
+  const core::IncrementalTruthInference& inference = system.inference();
   const std::vector<double>& quality = inference.worker_quality(worker).quality;
   const double clamp = core::TaskAssignerOptions{}.quality_clamp;
   CountedRankingLoop(state, [&] {
-    return RankEligible(*system, worker, [&](size_t i) {
-      const core::Task& task = system->tasks()[i];
+    return RankEligible(system, worker, [&](size_t i) {
+      const core::Task& task = system.tasks()[i];
       return scratch == nullptr
                  ? core::Benefit(task, inference.truth_matrix(i),
                                  inference.task_truth(i), quality, clamp)
@@ -467,6 +489,79 @@ void BM_ServeRequestTasksColdFused(benchmark::State& state) {
   ServeRequestTasksColdLoop(state, &scratch);
 }
 BENCHMARK(BM_ServeRequestTasksColdFused);
+
+// Snapshot publish cost on a sync ConcurrentDocsSystem (staleness 0) over an
+// n-task QA campaign: each iteration submits one fresh answer, which the
+// engine applies inline, then serves one RequestTasks, which republishes
+// before it scores. ns/op covers both calls; B/op and allocs/op count every
+// operator-new byte and call they make, the publish's included. Public
+// facade calls only, so the same source measures any revision of the
+// publish. The periodic full EM is off, so every iteration does the same
+// work.
+void BM_PublishAfterAnswer(benchmark::State& state) {
+  const kb::SyntheticKb& kb = ServingKb();
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto dataset = datasets::MakeQaDataset(kb, n);
+  std::vector<core::TaskInput> inputs;
+  inputs.reserve(dataset.tasks.size());
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  core::DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.lease_duration = 0;
+  options.num_threads = 1;
+  core::ConcurrentDocsSystem system(&kb.knowledge_base, options);
+  Status status = system.AddTasks(inputs);
+  DOCS_CHECK(status.ok()) << status.ToString();
+  // The served worker answers a spread of tasks once, so her requests rank
+  // real posteriors; then one warm request builds her index.
+  for (size_t t = 0; t < n; t += 17) {
+    benchmark::DoNotOptimize(system.RequestTasks("publish_w", 1));
+    status = system.SubmitAnswer("publish_w", t, 0);
+    DOCS_CHECK(status.ok()) << status.ToString();
+  }
+  benchmark::DoNotOptimize(system.RequestTasks("publish_w", kServeK));
+  // Fresh (answerer, task) pairs: answerer j / n answers task j % n, skipping
+  // publish_w's own tasks (a retro-update of her quality would turn the
+  // request into an O(n) index rebuild). A new answerer registers through a
+  // k = 0 request, once every n iterations.
+  size_t next = 0;
+  size_t answerers = 0;
+  auto answer_and_serve = [&] {
+    while (next % n % 17 == 0) ++next;
+    const std::string answerer = "answerer_" + std::to_string(next / n);
+    if (next / n == answerers) {
+      benchmark::DoNotOptimize(system.RequestTasks(answerer, 0));
+      ++answerers;
+    }
+    Status submitted = system.SubmitAnswer(answerer, next % n, 0);
+    DOCS_CHECK(submitted.ok()) << submitted.ToString();
+    ++next;
+    return system.RequestTasks("publish_w", kServeK);
+  };
+  benchmark::DoNotOptimize(answer_and_serve());
+  const uint64_t allocs_before = HeapAllocations();
+  const uint64_t bytes_before = HeapAllocatedBytes();
+  uint64_t iters = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(answer_and_serve());
+    ++iters;
+  }
+  if (iters > 0) {
+    const auto per_iter = [iters](uint64_t total) {
+      return static_cast<double>(total) / static_cast<double>(iters);
+    };
+    state.counters["allocs/op"] = per_iter(HeapAllocations() - allocs_before);
+    state.counters["B/op"] = per_iter(HeapAllocatedBytes() - bytes_before);
+  }
+}
+BENCHMARK(BM_PublishAfterAnswer)
+    ->Arg(4000)
+    ->Arg(20000)
+    ->ArgName("n")
+    ->Unit(benchmark::kMicrosecond);
 
 // Resident serving bytes per (worker, task) pair: live operator-new bytes
 // after each of 50 fresh workers made her first request over n = 10k tasks,

@@ -36,6 +36,10 @@
 # single-threaded runs of the same binary, so core count cannot bias it.
 # Every gate runs whatever an earlier one gave; the script prints each
 # gate's PASS/FAIL/SKIP at the end and exits non-zero if any failed.
+# Every gated figure is the median of REPS = 5 runs: the micro benches run
+# with --benchmark_repetitions and gate on the median aggregate, and the
+# reactor sweep and the sync/async pair run REPS rounds (alternating within
+# each round). The artifacts record every run's figure as the spread.
 #
 #   --quick      CI smoke sizing: shorter runs, artifacts written into the
 #                build tree instead of replacing the committed BENCH_5.json
@@ -77,6 +81,7 @@ else OUT9="$ROOT/BENCH_9.json"; fi
 if [[ "$QUICK" == 1 ]]; then OUT10="$BUILD_DIR/BENCH_10.quick.json"
 else OUT10="$ROOT/BENCH_10.json"; fi
 
+REPS=5
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -97,12 +102,12 @@ gate() {
 }
 
 if [[ "$QUICK" == 1 ]]; then
-  MICRO_ARGS=(--benchmark_min_time=0.05)
+  MICRO_ARGS=(--benchmark_min_time=0.05 --benchmark_repetitions="$REPS")
   SERVER_CONNECTIONS=2
   SERVER_OPS=300
   SWEEP_OPS=150
 else
-  MICRO_ARGS=()
+  MICRO_ARGS=(--benchmark_repetitions="$REPS")
   SERVER_CONNECTIONS=4
   SERVER_OPS=2000
   SWEEP_OPS=1000
@@ -136,17 +141,22 @@ with open(micro_path) as f:
 
 TIME_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-def entry(bench):
-    return {
-        "ns_per_op": bench["real_time"] * TIME_NS[bench["time_unit"]],
-        "allocs_per_op": bench.get("allocs/op", 0.0),
-        "iterations": bench["iterations"],
-    }
+def ns(bench):
+    return bench["real_time"] * TIME_NS[bench["time_unit"]]
 
+# The median aggregate of the repetitions, with every repetition's ns/op as
+# its spread.
 benches = {
-    b["name"]: entry(b)
+    b["run_name"]: {
+        "ns_per_op": ns(b),
+        "allocs_per_op": b.get("allocs/op", 0.0),
+        "repetitions": b["iterations"],
+        "ns_per_op_runs": sorted(
+            ns(r) for r in micro["benchmarks"]
+            if r["run_name"] == b["run_name"] and r["run_type"] == "iteration"),
+    }
     for b in micro["benchmarks"]
-    if b.get("run_type", "iteration") == "iteration"
+    if b["run_type"] == "aggregate" and b["aggregate_name"] == "median"
 }
 warm = benches["BM_ServeRequestTasksWarm"]
 cold = benches["BM_ServeRequestTasksCold"]
@@ -202,17 +212,22 @@ with open(micro_path) as f:
 
 TIME_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-def entry(bench):
-    return {
-        "ns_per_op": bench["real_time"] * TIME_NS[bench["time_unit"]],
-        "allocs_per_op": bench.get("allocs/op", 0.0),
-        "iterations": bench["iterations"],
-    }
+def ns(bench):
+    return bench["real_time"] * TIME_NS[bench["time_unit"]]
 
+# The median aggregate of the repetitions, with every repetition's ns/op as
+# its spread.
 benches = {
-    b["name"]: entry(b)
+    b["run_name"]: {
+        "ns_per_op": ns(b),
+        "allocs_per_op": b.get("allocs/op", 0.0),
+        "repetitions": b["iterations"],
+        "ns_per_op_runs": sorted(
+            ns(r) for r in micro["benchmarks"]
+            if r["run_name"] == b["run_name"] and r["run_type"] == "iteration"),
+    }
     for b in micro["benchmarks"]
-    if b.get("run_type", "iteration") == "iteration"
+    if b["run_type"] == "aggregate" and b["aggregate_name"] == "median"
 }
 SIZES = (1000, 10000, 100000)
 sweep = {n: benches[f"BM_ServeRequestTasksWarmSweep/n:{n}"] for n in SIZES}
@@ -259,11 +274,13 @@ PY
 REACTOR_SWEEP=(1 2 4)
 CONNECTION_SWEEP=(1 2 4 8)
 
-for r in "${REACTOR_SWEEP[@]}"; do
-  echo "=== [bench] bench_server --mode=mixed --reactors=$r (reactor sweep) ==="
-  "$BUILD_DIR/bench/bench_server" --mode=mixed \
-    --reactors="$r" --connections=4 --ops="$SWEEP_OPS" \
-    --json="$TMP/reactors_$r.json"
+for rep in $(seq 1 "$REPS"); do
+  for r in "${REACTOR_SWEEP[@]}"; do
+    echo "=== [bench] bench_server --mode=mixed --reactors=$r (reactor sweep, run $rep/$REPS) ==="
+    "$BUILD_DIR/bench/bench_server" --mode=mixed \
+      --reactors="$r" --connections=4 --ops="$SWEEP_OPS" \
+      --json="$TMP/reactors_${r}_$rep.json"
+  done
 done
 for c in "${CONNECTION_SWEEP[@]}"; do
   echo "=== [bench] bench_server --mode=mixed --connections=$c (connection sweep) ==="
@@ -275,7 +292,7 @@ done
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 gate "reactor scaling (BENCH_7)" \
   python3 - "$TMP" "$OUT7" "$QUICK" "$CORES" \
-  "${REACTOR_SWEEP[*]}" "${CONNECTION_SWEEP[*]}" <<'PY'
+  "${REACTOR_SWEEP[*]}" "${CONNECTION_SWEEP[*]}" "$REPS" <<'PY'
 import json
 import sys
 
@@ -283,12 +300,21 @@ tmp, out_path, quick, cores = sys.argv[1:5]
 reactor_sweep = [int(r) for r in sys.argv[5].split()]
 connection_sweep = [int(c) for c in sys.argv[6].split()]
 cores = int(cores)
+reps = int(sys.argv[7])
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
-reactors = {r: load(f"{tmp}/reactors_{r}.json") for r in reactor_sweep}
+def median_run(runs, key):
+    """The run holding the median of `key` (reps is odd, so it is a real
+    run)."""
+    return sorted(runs, key=lambda run: run[key])[len(runs) // 2]
+
+runs = {r: [load(f"{tmp}/reactors_{r}_{rep}.json")
+            for rep in range(1, reps + 1)]
+        for r in reactor_sweep}
+reactors = {r: median_run(runs[r], "throughput_ops_s") for r in reactor_sweep}
 connections = {c: load(f"{tmp}/connections_{c}.json") for c in connection_sweep}
 
 throughput = {r: reactors[r]["throughput_ops_s"] for r in reactor_sweep}
@@ -307,6 +333,14 @@ artifact = {
             {str(r): throughput[r] for r in reactor_sweep},
         "reactor_scaling": scaling,
     },
+    # Each reactor_sweep entry is the median-throughput run of `repetitions`;
+    # the spread lists every run's throughput.
+    "repetitions": reps,
+    "spread": {
+        "mixed_throughput_ops_s_by_reactors": {
+            str(r): sorted(run["throughput_ops_s"] for run in runs[r])
+            for r in reactor_sweep},
+    },
     # On one core the reactors time-slice instead of overlapping, so the
     # monotonic-throughput gate is meaningless there; the artifact says so
     # rather than silently passing.
@@ -317,7 +351,9 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 for r in reactor_sweep:
-    print(f"[bench] mixed, {r} reactor(s): {throughput[r]:,.0f} ops/s, "
+    spread = sorted(run["throughput_ops_s"] for run in runs[r])
+    print(f"[bench] mixed, {r} reactor(s): median {throughput[r]:,.0f} ops/s "
+          f"(runs {spread[0]:,.0f}..{spread[-1]:,.0f}), "
           f"p99 {reactors[r]['p99_us']:.0f} us")
 for c in connection_sweep:
     print(f"[bench] mixed, {c} connection(s) @ 2 reactors: "
@@ -347,46 +383,64 @@ PY
 # scores against the published snapshot. The artifact records the per-op-type
 # percentiles for both runs and gates on the async RequestTasks p99.
 REINFER=100
-for inference in sync async; do
-  ASYNC_FLAG=()
-  if [[ "$inference" == async ]]; then ASYNC_FLAG=(--async); fi
-  echo "=== [bench] bench_server --mode=mixed --reinfer=$REINFER ($inference inference) ==="
-  "$BUILD_DIR/bench/bench_server" --mode=mixed "${ASYNC_FLAG[@]}" \
-    --reinfer="$REINFER" --connections="$SERVER_CONNECTIONS" \
-    --ops="$SERVER_OPS" --json="$TMP/inference_$inference.json"
+for rep in $(seq 1 "$REPS"); do
+  for inference in sync async; do
+    ASYNC_FLAG=()
+    if [[ "$inference" == async ]]; then ASYNC_FLAG=(--async); fi
+    echo "=== [bench] bench_server --mode=mixed --reinfer=$REINFER ($inference inference, run $rep/$REPS) ==="
+    "$BUILD_DIR/bench/bench_server" --mode=mixed "${ASYNC_FLAG[@]}" \
+      --reinfer="$REINFER" --connections="$SERVER_CONNECTIONS" \
+      --ops="$SERVER_OPS" --json="$TMP/inference_${inference}_$rep.json"
+  done
 done
 
 gate "async RequestTasks p99 (BENCH_9)" \
-  python3 - "$TMP/inference_sync.json" "$TMP/inference_async.json" "$OUT9" \
-  "$QUICK" "$CORES" <<'PY'
+  python3 - "$TMP" "$OUT9" "$QUICK" "$CORES" "$REPS" <<'PY'
 import json
+import statistics
 import sys
 
-sync_path, async_path, out_path, quick, cores = sys.argv[1:6]
+tmp, out_path, quick, cores, reps = sys.argv[1:6]
 cores = int(cores)
+reps = int(reps)
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
-sync_run = load(sync_path)
-async_run = load(async_path)
+runs = {mode: [load(f"{tmp}/inference_{mode}_{rep}.json")
+               for rep in range(1, reps + 1)]
+        for mode in ("sync", "async")}
 single_core = cores <= 1
 
-request_p99_ratio = async_run["request_p99_us"] / sync_run["request_p99_us"]
+def median(mode, key):
+    return statistics.median(run[key] for run in runs[mode])
+
+def ratio(key):
+    return median("async", key) / median("sync", key)
+
+# The per-mode entries are the runs holding the median RequestTasks p99;
+# every derived ratio is a ratio of per-metric medians over `repetitions`.
+sync_run, async_run = (
+    sorted(runs[mode], key=lambda run: run["request_p99_us"])[reps // 2]
+    for mode in ("sync", "async"))
+request_p99_ratio = ratio("request_p99_us")
 artifact = {
     "generated_by": "scripts/bench.sh" + (" --quick" if quick == "1" else ""),
     "hardware": {"cores": cores},
     "sync": sync_run,
     "async": async_run,
     "derived": {
-        "async_over_sync_request_p95": (
-            async_run["request_p95_us"] / sync_run["request_p95_us"]),
+        "async_over_sync_request_p95": ratio("request_p95_us"),
         "async_over_sync_request_p99": request_p99_ratio,
-        "async_over_sync_submit_p99": (
-            async_run["submit_p99_us"] / sync_run["submit_p99_us"]),
-        "async_over_sync_throughput": (
-            async_run["throughput_ops_s"] / sync_run["throughput_ops_s"]),
+        "async_over_sync_submit_p99": ratio("submit_p99_us"),
+        "async_over_sync_throughput": ratio("throughput_ops_s"),
+    },
+    "repetitions": reps,
+    "spread": {
+        f"{mode}_{key}": sorted(run[key] for run in runs[mode])
+        for mode in ("sync", "async")
+        for key in ("request_p99_us", "throughput_ops_s")
     },
     # One core means the inference thread time-slices with the reactor
     # instead of overlapping it, so absolute latencies are scheduler-noisy;
@@ -397,12 +451,14 @@ with open(out_path, "w") as f:
     json.dump(artifact, f, indent=2, sort_keys=True)
     f.write("\n")
 
-for name, run in (("sync", sync_run), ("async", async_run)):
-    print(f"[bench] mixed+reinfer, {name}: "
-          f"RequestTasks p95 {run['request_p95_us']:.0f} us, "
-          f"p99 {run['request_p99_us']:.0f} us; "
-          f"SubmitAnswer p99 {run['submit_p99_us']:.0f} us; "
-          f"{run['throughput_ops_s']:,.0f} ops/s")
+for name in ("sync", "async"):
+    p99s = sorted(run["request_p99_us"] for run in runs[name])
+    print(f"[bench] mixed+reinfer, {name} (medians of {reps}): "
+          f"RequestTasks p95 {median(name, 'request_p95_us'):.0f} us, "
+          f"p99 {median(name, 'request_p99_us'):.0f} us "
+          f"(runs {p99s[0]:.0f}..{p99s[-1]:.0f}); "
+          f"SubmitAnswer p99 {median(name, 'submit_p99_us'):.0f} us; "
+          f"{median(name, 'throughput_ops_s'):,.0f} ops/s")
 print(f"[bench] async/sync RequestTasks p99 ratio "
       f"{request_p99_ratio:.2f}x -> {out_path}")
 

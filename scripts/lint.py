@@ -24,16 +24,15 @@ Checks, over every C++ file in src/, tests/, bench/ and examples/:
      flagged. Textual and scope-approximate by design: the real checker is
      the clang analysis; this catches the mistake on gcc-only machines.
   7. IncrementalTruthInference mutators (OnAnswer, RunFullInference,
-     SetWorkerQuality, EnsureWorker) may only be called on `inference_`
-     inside src/core/docs_system.cc. In async mode (DESIGN.md §15) every
+     SetWorkerQuality, EnsureWorker, SharePosteriors) may only be called on
+     `inference_` inside src/core/docs_system.cc. In async mode (DESIGN.md §15) every
      inference mutation must flow through the InferenceService apply path
      so snapshots stay consistent with state; a direct call anywhere else
      bypasses the single-writer discipline the snapshots depend on.
-  8. The engine's invalidation counters (task_epoch_, generation_) may only
-     be mutated inside src/core/incremental_ti.{h,cc}. The benefit cache and
-     index (DESIGN.md §11/§16) key their freshness on exactly these counters;
-     a bump anywhere else would invalidate (or worse, fail to invalidate)
-     cached state behind the engine's back.
+  8. The engine's invalidation counter (generation_) may only be mutated
+     inside src/core/incremental_ti.{h,cc}. The benefit index (DESIGN.md
+     §16) keys its freshness on it; a bump anywhere else would invalidate
+     (or worse, fail to invalidate) cached state behind the engine's back.
 
 Exit status is the number of findings (0 = clean). Run from anywhere:
 
@@ -80,11 +79,12 @@ RAW_SYNC_RE = re.compile(
 TI_MUTATOR_ALLOWED_FILES = ("src/core/docs_system.cc",)
 TI_MUTATORS_RE = re.compile(
     r"\binference_\s*(?:->|\.)\s*"
-    r"(?:OnAnswer|RunFullInference|SetWorkerQuality|EnsureWorker)\s*\(")
+    r"(?:OnAnswer|RunFullInference|SetWorkerQuality|EnsureWorker"
+    r"|SharePosteriors)\s*\(")
 
-# Epoch/generation mutation discipline (docstring item 8). The engine owns
-# the invalidation counters the benefit cache and index key on; only it may
-# move them. The header is in the allowed list for the member initializers
+# Generation mutation discipline (docstring item 8). The engine owns the
+# invalidation counter the benefit index keys on; only it may move it. The
+# header is in the allowed list for the member initializer
 # (`uint64_t generation_ = 1;`). The `(?!\w)` lookaheads keep longer
 # identifiers (generation_tag_, for one) out of scope; branch one catches
 # prefix ++/--, branch two catches postfix, assignment, and compound
@@ -93,8 +93,8 @@ EPOCH_MUTATION_ALLOWED_FILES = (
     "src/core/incremental_ti.h", "src/core/incremental_ti.cc")
 EPOCH_MUTATION_RE = re.compile(
     r"(?:\+\+|--)\s*(?:[A-Za-z_][\w.\[\]]*(?:->|\.))*"
-    r"(?:task_epoch_|generation_)(?!\w)"
-    r"|(?:task_epoch_|generation_)(?!\w)"
+    r"generation_(?!\w)"
+    r"|generation_(?!\w)"
     r"\s*(?:\[[^\]]*\]\s*)?(?:\+\+|--|[-+*/|&^]?=[^=])")
 
 # `MutexLock assign(&assign_mutex_);` — any of the scoped guards, capturing
@@ -231,10 +231,10 @@ def lint_file(root, rel, findings):
                 and EPOCH_MUTATION_RE.search(LINE_COMMENT_RE.sub("", line))):
             findings.append(
                 (rel, i + 1,
-                 "task_epoch_/generation_ mutated outside the inference "
-                 "engine: the benefit cache and index key their freshness "
-                 "on these counters, so only incremental_ti.{h,cc} may "
-                 "move them (DESIGN.md §16)"))
+                 "generation_ mutated outside the inference "
+                 "engine: the benefit index keys its freshness on this "
+                 "counter, so only incremental_ti.{h,cc} may move it "
+                 "(DESIGN.md §16)"))
 
     if is_header:
         check_header_guard(rel, lines, findings)

@@ -261,7 +261,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
     return !HasBooked(worker, task) && !AtAnswerCap(task);
   };
   auto eligible_bitmap = [this, worker]() -> const std::vector<uint8_t>& {
-    BuildEligibilityBitmap(worker, &eligible_scratch_);
+    BuildEligibilityBitmap(Booked(worker), nullptr, &eligible_scratch_);
     return eligible_scratch_;
   };
 
@@ -279,25 +279,26 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   return selected;
 }
 
-void DocsSystem::BuildEligibilityBitmap(size_t worker,
-                                        std::vector<uint8_t>* eligible) {
-  // Starts all-eligible and masks the worker's booked answers in O(|T(w)|)
-  // — no per-task membership probes — in reusable storage so a warm scan
-  // pass allocates nothing. The books lead the engine, so an
-  // acked-but-unapplied answer is not re-granted.
+void DocsSystem::BuildEligibilityBitmap(const std::vector<size_t>& answered,
+                                        const std::vector<uint8_t>* capped,
+                                        std::vector<uint8_t>* eligible) const {
+  // Starts all-eligible and masks the booked answers in O(|T(w)|) — no
+  // per-task membership probes — in reusable storage so a warm scan pass
+  // allocates nothing. The books lead the engine, so an acked-but-unapplied
+  // answer is not re-granted.
   eligible->assign(tasks_.size(), 1);
-  for (size_t answered : Booked(worker)) (*eligible)[answered] = 0;
-  if (options_.max_answers_per_task > 0) {
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-      if (AtAnswerCap(i)) (*eligible)[i] = 0;
-    }
+  for (size_t task : answered) (*eligible)[task] = 0;
+  if (options_.max_answers_per_task == 0) return;
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    if (capped != nullptr ? (*capped)[i] : AtAnswerCap(i)) (*eligible)[i] = 0;
   }
 }
 
 std::function<double(size_t)> DocsSystem::MakeScoreFn(
     const std::vector<double>& worker_quality, const InferenceSnapshot* snap,
     std::vector<double>& quality) {
-  // Each rule picks its posterior source once, here, not per score.
+  // Each rule picks its posterior source once, here, not per score; the
+  // live-engine callables stay small enough for std::function to hold inline.
   if (options_.selection_rule == SelectionRule::kUncertainty) {
     // Ablation: most ambiguous tasks first, worker ignored.
     if (snap != nullptr) {
@@ -331,25 +332,29 @@ std::function<double(size_t)> DocsSystem::MakeScoreFn(
   if (snap != nullptr) {
     return [this, snap, &quality](size_t i) {
       thread_local BenefitScratch scratch;
-      const TaskPosteriorSnapshot& task = snap->task(i);
+      const TaskPosterior& task = snap->task(i);
       return Benefit(tasks_[i], task.truth_matrix, task.truth, quality,
-                     options_.assigner.quality_clamp, &scratch);
+                     options_.quality_clamp, &scratch);
     };
   }
   return [this, &quality](size_t i) {
     thread_local BenefitScratch scratch;
     return Benefit(tasks_[i], inference_->truth_matrix(i),
                    inference_->task_truth(i), quality,
-                   options_.assigner.quality_clamp, &scratch);
+                   options_.quality_clamp, &scratch);
   };
 }
 
 void DocsSystem::BeginShardedSelect(size_t worker, ShardScratch& scratch) {
   // Caller holds the assign lock: the clock tick, the lease-count reads and
   // the books are serialized against every other grant, expiry and booking.
+  // O(|T(w)|) without a redundancy cap: no per-request O(n) bitmap fill.
   ++lease_clock_;
-  BuildEligibilityBitmap(worker, &scratch.eligible);
   scratch.answered = Booked(worker);
+  scratch.capped.clear();
+  if (options_.max_answers_per_task == 0) return;
+  scratch.capped.resize(tasks_.size());
+  for (size_t i = 0; i < tasks_.size(); ++i) scratch.capped[i] = AtAnswerCap(i);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -616,46 +621,18 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
   auto snap = std::make_shared<InferenceSnapshot>();
   snap->epoch = prev != nullptr ? prev->epoch + 1 : 1;
   if (inference_ == nullptr) return snap;
-  snap->answers_applied = inference_->num_answers();
-  const uint64_t generation = inference_->generation();
-  snap->generation = generation;
-  // A full re-inference moves every posterior and quality vector behind a
-  // single generation bump, leaving the per-task epochs untouched — so every
-  // copy-on-write share below must also require the generation unchanged, or
-  // the new snapshot would alias stale state.
-  const bool same_generation = prev != nullptr && prev->generation == generation;
+  snap->generation = inference_->generation();
+  // A full re-inference moves every quality vector without bumping a worker
+  // epoch, so a worker view is shared only within one generation.
+  const bool same_generation =
+      prev != nullptr && prev->generation == snap->generation;
 
   // The mutation-log window: an index synced anywhere inside it repairs the
   // tail instead of rebuilding (DESIGN.md §16).
   snap->mutation_log_begin = inference_->mutation_log_begin();
   snap->mutation_log = inference_->mutation_log();
 
-  // Task chunks copy-on-write: a chunk whose task epochs are all unchanged
-  // shares the previous snapshot's immutable posteriors; only the chunks the
-  // applied answers (or an EM pass) actually moved are copied.
-  const size_t n = tasks_.size();
-  constexpr size_t kChunk = InferenceSnapshot::kTasksPerChunk;
-  snap->task_epochs = inference_->task_epochs();
-  const uint64_t* epochs = snap->task_epochs.data();
-  const size_t num_chunks = (n + kChunk - 1) / kChunk;
-  const bool share = same_generation && prev->task_chunks.size() == num_chunks;
-  snap->task_chunks.resize(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * kChunk;
-    const size_t end = std::min(n, begin + kChunk);
-    if (share && std::equal(epochs + begin, epochs + end,
-                            prev->task_epochs.data() + begin)) {
-      snap->task_chunks[c] = prev->task_chunks[c];
-      continue;
-    }
-    auto chunk = std::make_shared<std::vector<TaskPosteriorSnapshot>>();
-    chunk->reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      chunk->push_back(
-          {inference_->truth_matrix(i), inference_->task_truth(i)});
-    }
-    snap->task_chunks[c] = std::move(chunk);
-  }
+  snap->task_chunks = inference_->SharePosteriors();
 
   snap->workers.resize(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) {
@@ -693,13 +670,17 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
   // snapshot's posteriors yield.
   const std::function<double(size_t)> score =
       MakeScoreFn(view.quality, &snap, scratch.quality);
-  // Eligibility was frozen into the scratch bitmap under the assign lock
+  // Eligibility was frozen into the scratch books under the assign lock
   // (BeginShardedSelect); both the index walk and the scan fallback pick
-  // from that one candidate set.
+  // from that one candidate set. The bitmap is built only for the scan.
   auto eligible_one = [&scratch](size_t task) {
-    return scratch.eligible[task] != 0;
+    return !std::binary_search(scratch.answered.begin(),
+                               scratch.answered.end(), task) &&
+           (scratch.capped.empty() || scratch.capped[task] == 0);
   };
-  auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
+  auto eligible_bitmap = [this, &scratch]() -> const std::vector<uint8_t>& {
+    BuildEligibilityBitmap(scratch.answered, &scratch.capped,
+                           &scratch.eligible);
     return scratch.eligible;
   };
   return RankWithIndex(scratch.answered, view.index, k, score, view.epoch,

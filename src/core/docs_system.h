@@ -92,7 +92,8 @@ struct ServingCounters {
 struct DocsSystemOptions {
   nlp::EntityLinkerOptions linker;
   TruthInferenceOptions truth_inference;
-  TaskAssignerOptions assigner;
+  /// The benefit kernel clamps qualities into [clamp, 1 - clamp] (Def. 5).
+  double quality_clamp = 0.01;
   /// Number of golden tasks selected after DVE (20 in the paper).
   size_t golden_count = 20;
   /// Lease duration for granted tasks, in logical ticks (each SelectTasks
@@ -258,11 +259,12 @@ class DocsSystem : public AssignmentPolicy {
   //  - ApplyAnswer and BuildSnapshot hold the exclusive state lock.
 
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
-  /// `eligible` and `answered` are the phase-1 copies of the worker's
-  /// eligibility bitmap and booked answers.
+  /// Phase 1 copies the booked answers and, under a redundancy cap, the cap
+  /// mask (else empty); `eligible` is the scan fallback's bitmap of both.
   struct ShardScratch {
-    std::vector<uint8_t> eligible;
     std::vector<size_t> answered;
+    std::vector<uint8_t> capped;
+    std::vector<uint8_t> eligible;
     std::vector<double> quality;
   };
 
@@ -270,14 +272,13 @@ class DocsSystem : public AssignmentPolicy {
   /// serve her (state lock held).
   bool golden_done(size_t worker) const { return workers_[worker].golden_done; }
 
-  /// Phase 1: advances the lease clock and copies the worker's eligibility
-  /// bitmap (answered mask + redundancy cap) and booked answers into
-  /// `scratch`.
+  /// Phase 1: advances the lease clock and copies the worker's booked
+  /// answers (and, under a redundancy cap, the cap mask) into `scratch`.
   void BeginShardedSelect(size_t worker, ShardScratch& scratch);
 
-  /// Phase 2: scores `scratch.eligible` against `snap` (never touching live
-  /// inference state) on the system's pool, which concurrent passes share,
-  /// and returns the provisional top-k.
+  /// Phase 2: scores the tasks `scratch` leaves eligible against `snap`
+  /// (never touching live inference state) on the system's pool, which
+  /// concurrent passes share, and returns the provisional top-k.
   std::vector<size_t> ScoreAndRankSnapshot(const InferenceSnapshot& snap,
                                            size_t worker,
                                            ShardScratch& scratch, size_t k);
@@ -310,10 +311,9 @@ class DocsSystem : public AssignmentPolicy {
   /// post-Drain() state is bitwise-identical.
   [[nodiscard]] Status ApplyAnswer(size_t worker, size_t task, size_t choice);
 
-  /// Builds the next snapshot copy-on-write against `prev`: tasks and
-  /// workers whose inference epochs are unchanged share the previous
-  /// snapshot's immutable pieces. Also creates every registered worker's
-  /// benefit index so the snapshot path can serve her.
+  /// Builds the next snapshot: the engine's posterior chunks by pointer, and
+  /// worker views shared with `prev` while epoch and generation hold. Also
+  /// creates every registered worker's benefit index for the snapshot path.
   std::shared_ptr<const InferenceSnapshot> BuildSnapshot(
       const InferenceSnapshot* prev);
 
@@ -342,10 +342,12 @@ class DocsSystem : public AssignmentPolicy {
 
   void FinishGoldenPhase(size_t worker);
 
-  /// Builds the eligibility bitmap for `worker` into `*eligible` (all-open
-  /// minus her booked answers minus redundancy-capped tasks). Shared by the
-  /// exclusive scan fallback and the phase-1 snapshot.
-  void BuildEligibilityBitmap(size_t worker, std::vector<uint8_t>* eligible);
+  /// Builds the scan fallback's eligibility bitmap into `*eligible`: all-open
+  /// minus the booked `answered` tasks minus the capped ones, read from the
+  /// phase-1 mask `capped` or, when null, from the live lease books.
+  void BuildEligibilityBitmap(const std::vector<size_t>& answered,
+                              const std::vector<uint8_t>* capped,
+                              std::vector<uint8_t>* eligible) const;
 
   /// Builds the selection-rule scoring function for a worker whose quality
   /// vector is `worker_quality`, reading task posteriors from `snap` (a

@@ -25,22 +25,47 @@ IncrementalTruthInference::IncrementalTruthInference(
     : tasks_(std::move(tasks)), options_(options) {
   const size_t n = tasks_.size();
   log_numerators_.reserve(n);
-  truth_matrices_.reserve(n);
-  task_truth_.reserve(n);
-  task_epoch_.assign(n, 1);
   answers_of_task_.resize(n);
   for (const Task& task : tasks_) {
     CheckUnitInterval(task.domain_vector, 1e-9,
                       "task domain vector (incremental TI prior)");
-    const size_t m = task.domain_vector.size();
-    const size_t l = task.num_choices;
-    log_numerators_.emplace_back(m, l, 0.0);
-    Matrix uniform(m, l, l == 0 ? 0.0 : 1.0 / static_cast<double>(l));
-    truth_matrices_.push_back(uniform);
-    std::vector<double> s = uniform.LeftMultiply(task.domain_vector);
-    NormalizeInPlace(s);
-    task_truth_.push_back(std::move(s));
+    log_numerators_.emplace_back(task.domain_vector.size(), task.num_choices);
   }
+  const size_t num_chunks = (n + kTasksPerChunk - 1) / kTasksPerChunk;
+  for (size_t c = 0; c < num_chunks; ++c) chunks_.push_back(PriorChunk(c));
+  chunk_shared_.assign(num_chunks, 0);
+}
+
+std::shared_ptr<PosteriorChunk> IncrementalTruthInference::PriorChunk(
+    size_t c) const {
+  const size_t begin = c * kTasksPerChunk;
+  const size_t end = std::min(tasks_.size(), begin + kTasksPerChunk);
+  auto chunk = std::make_shared<PosteriorChunk>(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    const Task& task = tasks_[i];
+    const size_t l = task.num_choices;
+    TaskPosterior& post = (*chunk)[i - begin];
+    post.truth_matrix = Matrix(task.domain_vector.size(), l,
+                               l == 0 ? 0.0 : 1.0 / static_cast<double>(l));
+    post.truth = post.truth_matrix.LeftMultiply(task.domain_vector);
+    NormalizeInPlace(post.truth);
+  }
+  return chunk;
+}
+
+TaskPosterior& IncrementalTruthInference::MutablePosterior(size_t task) {
+  const size_t c = task / kTasksPerChunk;
+  if (chunk_shared_[c]) {
+    chunks_[c] = std::make_shared<PosteriorChunk>(*chunks_[c]);
+    chunk_shared_[c] = 0;
+  }
+  return (*chunks_[c])[task % kTasksPerChunk];
+}
+
+std::vector<std::shared_ptr<const PosteriorChunk>>
+IncrementalTruthInference::SharePosteriors() {
+  std::fill(chunk_shared_.begin(), chunk_shared_.end(), 1);
+  return {chunks_.begin(), chunks_.end()};
 }
 
 void IncrementalTruthInference::EnsureWorker(size_t worker) {
@@ -120,10 +145,11 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   const size_t l = t.num_choices;
   // s̃_i snapshot into reusable scratch: the update below needs the truth
   // vector from before this answer.
-  old_truth_scratch_.assign(task_truth_[task].begin(), task_truth_[task].end());
+  old_truth_scratch_.assign(task_truth(task).begin(), task_truth(task).end());
   const std::vector<double>& old_truth = old_truth_scratch_;
 
   // --- Step 1: update M̂^(i), M^(i) and s_i only. -------------------------
+  TaskPosterior& post = MutablePosterior(task);
   Matrix& log_numer = log_numerators_[task];
   for (size_t k = 0; k < m; ++k) {
     const double q =
@@ -135,11 +161,10 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
       log_numer(k, j) += (j == choice) ? log_correct : log_wrong;
     }
   }
-  Matrix& truth_matrix = truth_matrices_[task];
-  SoftmaxRowsInto(log_numer, &truth_matrix);
-  truth_matrix.LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
-  NormalizeInPlace(task_truth_[task]);
-  const std::vector<double>& new_truth = task_truth_[task];
+  SoftmaxRowsInto(log_numer, &post.truth_matrix);
+  post.truth_matrix.LeftMultiplyInto(t.domain_vector, &post.truth);
+  NormalizeInPlace(post.truth);
+  const std::vector<double>& new_truth = post.truth;
 
   // --- Step 2: update the qualities touched by this answer. ---------------
   // The effective mass behind a quality estimate is the accumulated weight
@@ -187,13 +212,10 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   answered.insert(std::lower_bound(answered.begin(), answered.end(), task),
                   task);
 
-  // Epoch bumps: this task's inference state moved (step 1), and so did the
-  // quality vector of the submitting worker and of every retro-updated prior
-  // worker (step 2). The prior list names each worker at most once (one
-  // answer per (worker, task)), so nobody is bumped twice for one
-  // submission. The task also lands in the mutation log so benefit indexes
-  // can repair it in place instead of rebuilding.
-  ++task_epoch_[task];
+  // The task's posterior moved (step 1): the mutation log names it, so
+  // benefit indexes repair it in place instead of rebuilding. The qualities
+  // of the submitter and of every retro-updated prior worker moved (step 2):
+  // epoch bumps, at most one each (one answer per (worker, task)).
   if (mutation_log_.size() >= kMutationLogCapacity) {
     mutation_log_begin_ += mutation_log_.size();
     mutation_log_.clear();
@@ -209,16 +231,15 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
 void IncrementalTruthInference::RecomputeTask(size_t task,
                                               const QualityLogTable& table) {
   DOCS_CHECK_LT(task, tasks_.size()) << "RecomputeTask on unknown task";
+  DOCS_DCHECK(!chunk_shared_[task / kTasksPerChunk])
+      << "RecomputeTask would copy a shared posterior chunk";
   const Task& t = tasks_[task];
+  TaskPosterior& post = MutablePosterior(task);
   table.LogNumeratorInto(t, answers_of_task_[task], &log_numerators_[task]);
-  SoftmaxRowsInto(log_numerators_[task], &truth_matrices_[task]);
-  truth_matrices_[task].LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
-  NormalizeInPlace(task_truth_[task]);
-  // No epoch bump here: RecomputeTask only runs inside the RunFullInference
-  // fan-out, whose single generation bump already invalidates every benefit
-  // index in O(1) — walking the epoch array again would defeat that.
-  DOCS_DCHECK_SIMPLEX(task_truth_[task], 1e-6,
-                      "recomputed task truth (Eq. 4)");
+  SoftmaxRowsInto(log_numerators_[task], &post.truth_matrix);
+  post.truth_matrix.LeftMultiplyInto(t.domain_vector, &post.truth);
+  NormalizeInPlace(post.truth);
+  DOCS_DCHECK_SIMPLEX(post.truth, 1e-6, "recomputed task truth (Eq. 4)");
 }
 
 void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
@@ -234,11 +255,10 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
     workers_[w].stats = result.worker_quality[w];
   }
   // O(1) invalidation: the batch re-run replaces every quality vector and
-  // every posterior at once, so instead of walking all task and worker
-  // epochs (the pre-§16 behavior) a single generation bump stales every
-  // benefit index. The mutation log
-  // is trimmed too — the entries it held are subsumed by the rebuilds the
-  // generation bump forces.
+  // every posterior at once, so instead of walking all worker epochs (the
+  // pre-§16 behavior) a single generation bump stales every benefit index.
+  // The mutation log is trimmed too — the entries it held are subsumed by
+  // the rebuilds the generation bump forces.
   ++generation_;
   mutation_log_begin_ += mutation_log_.size();
   mutation_log_.clear();
@@ -246,7 +266,12 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   // converged state, from one log table of the converged qualities (the
   // batch run's last table predates its final step 2). Every task owns its
   // cache slots, so the fan-out is bit-identical to the sequential loop for
-  // any thread count.
+  // any thread count. Every task is rewritten in full, so a shared chunk is
+  // replaced by fresh storage here, before the fan-out, instead of copied.
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    if (chunk_shared_[c]) chunks_[c] = PriorChunk(c);
+  }
+  std::fill(chunk_shared_.begin(), chunk_shared_.end(), 0);
   QualityLogTable table;
   table.Build(tasks_, tasks_.empty() ? 0 : tasks_[0].domain_vector.size(),
               result.worker_quality, options_.quality_clamp, pool);
@@ -256,7 +281,7 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
 std::vector<size_t> IncrementalTruthInference::InferredChoices() const {
   std::vector<size_t> choices(tasks_.size(), 0);
   for (size_t i = 0; i < tasks_.size(); ++i) {
-    if (!task_truth_[i].empty()) choices[i] = ArgMax(task_truth_[i]);
+    if (!task_truth(i).empty()) choices[i] = ArgMax(task_truth(i));
   }
   return choices;
 }

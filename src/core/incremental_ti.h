@@ -1,6 +1,7 @@
 #ifndef DOCS_CORE_INCREMENTAL_TI_H_
 #define DOCS_CORE_INCREMENTAL_TI_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/matrix.h"
@@ -10,6 +11,15 @@
 #include "core/types.h"
 
 namespace docs::core {
+
+/// One task's posterior: the truth matrix M^(i) and the truth s_i.
+struct TaskPosterior {
+  Matrix truth_matrix;
+  std::vector<double> truth;
+};
+
+/// The posteriors of kTasksPerChunk consecutive tasks (fewer in the last).
+using PosteriorChunk = std::vector<TaskPosterior>;
 
 /// The incremental truth-inference engine of Section 4.2. It keeps, per task,
 /// the log-numerator matrix M̂^(i) (Eq. 3's numerator), the normalized M^(i)
@@ -22,6 +32,9 @@ namespace docs::core {
 /// (DOCS does this every z = 100 submissions).
 class IncrementalTruthInference {
  public:
+  /// Tasks per posterior chunk, chosen by measurement (DESIGN.md §15).
+  static constexpr size_t kTasksPerChunk = 16;
+
   /// Takes ownership of the task list (domain vectors + choice counts).
   explicit IncrementalTruthInference(std::vector<Task> tasks,
                                      TruthInferenceOptions options = {});
@@ -55,10 +68,10 @@ class IncrementalTruthInference {
   void RunFullInference(ThreadPool* pool);
 
   const std::vector<double>& task_truth(size_t task) const {
-    return task_truth_[task];
+    return posterior(task).truth;
   }
   const Matrix& truth_matrix(size_t task) const {
-    return truth_matrices_[task];
+    return posterior(task).truth_matrix;
   }
   const WorkerQuality& worker_quality(size_t worker) const {
     return workers_[worker].stats;
@@ -77,20 +90,6 @@ class IncrementalTruthInference {
   /// O(1); the serving loop uses it to mask eligibility in O(|answered|)
   /// instead of O(n) HasAnswered probes.
   const std::vector<size_t>& answered_tasks(size_t worker) const;
-
-  /// Version tag of task `task`'s inference state (M^(i), s_i). Bumped by
-  /// OnAnswer only; starts at 1. A (worker, task) benefit is valid exactly
-  /// while the task epoch, worker_epoch AND generation() are unchanged
-  /// (DESIGN.md §11/§16); snapshot publication compares task epochs to share
-  /// unchanged posterior chunks. The batch re-run (RunFullInference)
-  /// replaces every posterior WITHOUT walking the epoch arrays — it bumps
-  /// the generation instead, which invalidates everything in O(1).
-  uint64_t task_epoch(size_t task) const { return task_epoch_[task]; }
-
-  /// The full per-task epoch array (indexed by task); snapshot publication
-  /// copies it wholesale so the next publish can tell which posterior
-  /// chunks moved.
-  const std::vector<uint64_t>& task_epochs() const { return task_epoch_; }
 
   /// Version tag of `worker`'s quality vector; starts at 1. Bumped whenever
   /// the quality estimate moves incrementally: her own submissions, the
@@ -122,6 +121,11 @@ class IncrementalTruthInference {
   /// argmax_j s_{i,j} for every task.
   std::vector<size_t> InferredChoices() const;
 
+  /// The posterior chunks by pointer, for a snapshot publish, all marked
+  /// shared: the next write to a shared chunk replaces it first (OnAnswer
+  /// copies, RunFullInference rebuilds). The mark, not use_count(), decides.
+  std::vector<std::shared_ptr<const PosteriorChunk>> SharePosteriors();
+
   const TruthInferenceOptions& options() const { return options_; }
 
  private:
@@ -137,17 +141,25 @@ class IncrementalTruthInference {
     uint64_t epoch = 1;
   };
 
-  /// Rebuilds M̂, M and s of `task` from scratch from `table`, the log
-  /// table of the current qualities.
+  /// Rebuilds M̂, M and s of an unshared `task` from scratch from `table`,
+  /// the log table of the current qualities.
   void RecomputeTask(size_t task, const QualityLogTable& table);
+
+  const TaskPosterior& posterior(size_t task) const {
+    return (*chunks_[task / kTasksPerChunk])[task % kTasksPerChunk];
+  }
+  /// The task's posterior for writing: copies its chunk first if shared.
+  TaskPosterior& MutablePosterior(size_t task);
+  /// Chunk `c` holding the prior posteriors (uniform M^(i)) of its tasks.
+  std::shared_ptr<PosteriorChunk> PriorChunk(size_t c) const;
 
   std::vector<Task> tasks_;
   TruthInferenceOptions options_;
   std::vector<Matrix> log_numerators_;  // M̂^(i), in log space
-  std::vector<Matrix> truth_matrices_;  // M^(i)
-  std::vector<std::vector<double>> task_truth_;  // s_i
-  std::vector<uint64_t> task_epoch_;  // see task_epoch()
-  uint64_t generation_ = 1;           // see generation()
+  /// {M^(i), s_i} by chunk, and which chunks are shared (SharePosteriors).
+  std::vector<std::shared_ptr<PosteriorChunk>> chunks_;
+  std::vector<uint8_t> chunk_shared_;
+  uint64_t generation_ = 1;  // see generation()
   /// Dirty-task feed; see mutation_log(). Bounded: once it reaches
   /// kMutationLogCapacity it is trimmed wholesale (begin jumps to end), which
   /// simply demotes every index catch-up to a rebuild.

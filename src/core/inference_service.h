@@ -8,19 +8,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/sync.h"
+#include "core/incremental_ti.h"
 #include "core/task_assignment.h"
 
 namespace docs::core {
-
-/// Immutable posterior of one task as of a snapshot publish: the normalized
-/// truth matrix M^(i) and the probabilistic truth s_i, copied verbatim from
-/// the live engine.
-struct TaskPosteriorSnapshot {
-  Matrix truth_matrix;
-  std::vector<double> truth;
-};
 
 /// One worker's serving view as of a publish (DESIGN.md §15).
 struct WorkerSnapshot {
@@ -40,25 +32,15 @@ struct WorkerSnapshot {
   BenefitIndex* index = nullptr;
 };
 
-/// An immutable, epoch-tagged picture of the inference state, published via
-/// shared_ptr swap (RCU-style: readers copy the
-/// pointer under a leaf mutex and then read freely; the retiring snapshot
-/// dies when its last reader drops it). Grown out of TruthInference::Run's
-/// buffer-swap rotation: instead of two buffers swapped inside one EM pass,
-/// an unbounded chain of copy-on-write snapshots swapped at publish points.
+/// An immutable picture of the inference state, published via shared_ptr
+/// swap (RCU-style: readers copy the pointer under a leaf mutex and then
+/// read freely; the retiring snapshot dies when its last reader drops it).
 struct InferenceSnapshot {
   /// Publish sequence number, starting at 1 for the initial (empty) publish.
   uint64_t epoch = 0;
-  /// Answers absorbed by the engine when this snapshot was built; the
-  /// staleness of a serving decision is answers_enqueued - answers_applied.
-  uint64_t answers_applied = 0;
-  /// Per-task inference epochs at publish time; the next publish compares
-  /// them to decide which task chunks it can share (DESIGN.md §11, §15).
-  std::vector<uint64_t> task_epochs;
   /// The engine's invalidation generation at publish time (DESIGN.md §16):
-  /// a full re-inference replaces every posterior without bumping the task
-  /// epochs, so both the copy-on-write sharing below and the index tags on
-  /// the serving path must compare the generation too.
+  /// a full re-inference bumps no worker epoch, so the worker-view sharing
+  /// and the serving path's index tags compare the generation too.
   uint64_t generation = 0;
   /// The engine's mutation-log window at publish time (DESIGN.md §16): the
   /// tasks whose posterior moved at absolute sequence numbers
@@ -68,17 +50,14 @@ struct InferenceSnapshot {
   /// behind — repairs the tail instead of rebuilding.
   uint64_t mutation_log_begin = 0;
   std::vector<size_t> mutation_log;
-  /// Task posteriors in chunks of kTasksPerChunk consecutive tasks. A chunk
-  /// whose task epochs (and the generation) are unchanged is shared with the
-  /// previous snapshot, so a publish copies only the chunks the applied
-  /// answers moved and touches one reference count per chunk, not per task.
-  static constexpr size_t kTasksPerChunk = 64;
-  std::vector<std::shared_ptr<const std::vector<TaskPosteriorSnapshot>>>
-      task_chunks;
+  /// Task posteriors: the engine's own chunks, by pointer (SharePosteriors),
+  /// so consecutive snapshots share every chunk no answer touched.
+  std::vector<std::shared_ptr<const PosteriorChunk>> task_chunks;
   std::vector<std::shared_ptr<const WorkerSnapshot>> workers;
 
-  const TaskPosteriorSnapshot& task(size_t i) const {
-    return (*task_chunks[i / kTasksPerChunk])[i % kTasksPerChunk];
+  const TaskPosterior& task(size_t i) const {
+    constexpr size_t kChunk = IncrementalTruthInference::kTasksPerChunk;
+    return (*task_chunks[i / kChunk])[i % kChunk];
   }
 };
 

@@ -68,7 +68,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
 
   // The invalidation itself: one generation bump, zero epoch movement, and
   // the mutation log resets (nothing to replay across a generation change).
-  const auto task_epochs_before = system.inference().task_epochs();
   const uint64_t worker_epoch_before = system.inference().worker_epoch(w);
   const uint64_t generation_before = system.inference().generation();
   const uint64_t invalidations_before =
@@ -77,7 +76,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   EXPECT_EQ(system.inference().generation(), generation_before + 1);
   EXPECT_EQ(system.serving_counters().benefit_index_generation_invalidations,
             invalidations_before + 1);
-  EXPECT_EQ(system.inference().task_epochs(), task_epochs_before);
   EXPECT_EQ(system.inference().worker_epoch(w), worker_epoch_before);
   EXPECT_EQ(system.inference().mutation_log_begin(),
             system.inference().mutation_log_end());

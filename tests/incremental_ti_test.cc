@@ -379,32 +379,33 @@ TEST(IncrementalTiTest, AnsweredTasksIsSortedRegardlessOfSubmissionOrder) {
 }
 
 TEST(IncrementalTiTest, OnAnswerBumpsTaskSubmitterAndRetroWorkers) {
-  // Benefit validity keys on these epochs, so every quality/truth movement
-  // must be visible: an answer touches its task, the submitting worker, and
-  // (via the step-2 retro update) every prior answerer of the same task.
+  // Benefit validity keys on the worker epochs and the mutation log, so
+  // every quality/truth movement must be visible: an answer logs its task
+  // and bumps the submitting worker and (via the step-2 retro update) every
+  // prior answerer of the same task.
   IncrementalTruthInference engine(TwoDomainTasks(3));
   engine.EnsureWorker(0);
   engine.EnsureWorker(1);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(engine.task_epoch(i), 1u);
+  EXPECT_TRUE(engine.mutation_log().empty());
   EXPECT_EQ(engine.worker_epoch(0), 1u);
   EXPECT_EQ(engine.worker_epoch(1), 1u);
 
   ASSERT_TRUE(engine.OnAnswer(0, 0, 1).ok());
-  EXPECT_EQ(engine.task_epoch(0), 2u);
-  EXPECT_EQ(engine.task_epoch(1), 1u);  // untouched task
+  // Task 0 is logged; untouched task 1 is not.
+  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0}));
   EXPECT_EQ(engine.worker_epoch(0), 2u);
   EXPECT_EQ(engine.worker_epoch(1), 1u);  // uninvolved worker
 
   // Worker 1 answers the same task: worker 0 answered it before, so her
   // quality is retro-adjusted and her epoch must move too.
   ASSERT_TRUE(engine.OnAnswer(1, 0, 0).ok());
-  EXPECT_EQ(engine.task_epoch(0), 3u);
+  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0, 0}));
   EXPECT_EQ(engine.worker_epoch(1), 2u);
   EXPECT_EQ(engine.worker_epoch(0), 3u);
 
   // A disjoint task leaves worker 0 alone.
   ASSERT_TRUE(engine.OnAnswer(1, 1, 0).ok());
-  EXPECT_EQ(engine.task_epoch(1), 2u);
+  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0, 0, 1}));
   EXPECT_EQ(engine.worker_epoch(1), 3u);
   EXPECT_EQ(engine.worker_epoch(0), 3u);
 }
@@ -423,22 +424,19 @@ TEST(IncrementalTiTest, QualitySeedBumpsEpochAndFullInferenceBumpsGeneration) {
 
   ASSERT_TRUE(engine.OnAnswer(0, 0, 1).ok());
   ASSERT_TRUE(engine.OnAnswer(1, 1, 0).ok());
-  const uint64_t task0 = engine.task_epoch(0);
-  const uint64_t task1 = engine.task_epoch(1);
+  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0, 1}));
   const uint64_t worker0 = engine.worker_epoch(0);
   const uint64_t worker1 = engine.worker_epoch(1);
   const uint64_t generation = engine.generation();
   EXPECT_EQ(generation, 1u);  // starts live, like the epochs
 
   // The full re-run replaces every task's and worker's parameters behind ONE
-  // generation bump — O(1) invalidation of every benefit index. The per-item
-  // epochs must NOT move: walking every task and worker to bump them is
-  // exactly the O(n) cost the generation exists to avoid.
+  // generation bump — O(1) invalidation of every benefit index. The worker
+  // epochs must NOT move: walking every worker to bump them is exactly the
+  // O(n) cost the generation exists to avoid.
   ThreadPool pool;
   engine.RunFullInference(&pool);
   EXPECT_EQ(engine.generation(), generation + 1);
-  EXPECT_EQ(engine.task_epoch(0), task0);
-  EXPECT_EQ(engine.task_epoch(1), task1);
   EXPECT_EQ(engine.worker_epoch(0), worker0);
   EXPECT_EQ(engine.worker_epoch(1), worker1);
 

@@ -447,5 +447,98 @@ TEST_F(InferenceServiceTest, ServingNeverBlocksOnSlowApply) {
   EXPECT_EQ(system.num_answers(), 2u);
 }
 
+/// One copy of the posteriors: a publish hands out the engine's own chunks,
+/// the engine copies a chunk before it next writes it, and a snapshot stays
+/// bitwise frozen however the engine moves on — answers and a full EM pass
+/// included.
+TEST_F(InferenceServiceTest, SnapshotsShareTheEnginePosteriorsCopyOnWrite) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 100, 5);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.num_threads = 2;
+  DocsSystem system(&kb_->knowledge_base, options);
+  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  const IncrementalTruthInference& engine = system.inference();
+  const size_t n = system.tasks().size();
+  constexpr size_t kChunk = IncrementalTruthInference::kTasksPerChunk;
+  ASSERT_GT(n, 3 * kChunk);
+  const size_t w = system.WorkerIndex("w");
+
+  // Never published: the engine writes in place.
+  const Matrix* before = &engine.truth_matrix(0);
+  ASSERT_TRUE(system.SubmitAnswer(w, 0, 0).ok());
+  EXPECT_EQ(&engine.truth_matrix(0), before);
+
+  const auto deep_copy = [n](const InferenceSnapshot& snap) {
+    std::vector<TaskPosterior> out;
+    for (size_t i = 0; i < n; ++i) out.push_back(snap.task(i));
+    return out;
+  };
+  const auto expect_unchanged = [n](const InferenceSnapshot& snap,
+                                    const std::vector<TaskPosterior>& copy) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(snap.task(i).truth_matrix.data(), copy[i].truth_matrix.data())
+          << "task " << i;
+      EXPECT_EQ(snap.task(i).truth, copy[i].truth) << "task " << i;
+    }
+  };
+
+  // A publish copies no posterior: every task's M^(i) and s_i in the
+  // snapshot is the engine's own object.
+  const auto first = system.BuildSnapshot(nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(&first->task(i).truth_matrix, &engine.truth_matrix(i));
+    EXPECT_EQ(&first->task(i).truth, &engine.task_truth(i));
+  }
+  const auto first_copy = deep_copy(*first);
+
+  // An answer copies its task's chunk before the write; every other task
+  // still lives in the published chunks.
+  const size_t touched = kChunk + 1;
+  ASSERT_TRUE(system.SubmitAnswer(w, touched, 1).ok());
+  for (size_t i = 0; i < n; ++i) {
+    const bool moved = i / kChunk == touched / kChunk;
+    EXPECT_EQ(&first->task(i).truth_matrix == &engine.truth_matrix(i), !moved)
+        << "task " << i;
+  }
+  expect_unchanged(*first, first_copy);
+
+  // Consecutive snapshots share, by pointer, every chunk no answer touched.
+  const auto second = system.BuildSnapshot(first.get());
+  ASSERT_EQ(second->task_chunks.size(), first->task_chunks.size());
+  for (size_t c = 0; c < first->task_chunks.size(); ++c) {
+    EXPECT_EQ(second->task_chunks[c] == first->task_chunks[c],
+              c != touched / kChunk)
+        << "chunk " << c;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(&second->task(i).truth_matrix, &engine.truth_matrix(i));
+  }
+  const auto second_copy = deep_copy(*second);
+
+  // Later answers and a full inference pass move the engine, never a pinned
+  // snapshot.
+  for (size_t t = 2; t < n; t += 3) {
+    if (t == touched) continue;
+    ASSERT_TRUE(system.SubmitAnswer(w, t, t % 2).ok());
+  }
+  system.RunFullInference();
+  const auto third = system.BuildSnapshot(second.get());
+  expect_unchanged(*first, first_copy);
+  expect_unchanged(*second, second_copy);
+  size_t moved = 0;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_NE(&second->task(i).truth_matrix, &engine.truth_matrix(i));
+    EXPECT_EQ(&third->task(i).truth_matrix, &engine.truth_matrix(i));
+    if (engine.task_truth(i) != second_copy[i].truth) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+}
+
 }  // namespace
 }  // namespace docs::core

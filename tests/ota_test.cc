@@ -148,6 +148,32 @@ TEST(BenefitTest, NonNegativeForCoherentSingleDomainModel) {
   }
 }
 
+TEST(BenefitTest, NegativeWhenTheFixedPriorContradictsAConfidentTruth) {
+  // Def. 5 projects each answer through the fixed domain prior r, not the
+  // posterior over domains, so B is not a mutual information and can go
+  // negative (DESIGN.md §5). Here r = (0.5, 0.5), both rows of M are
+  // confident in choice 0, and the worker is an expert in domain 0 and a
+  // coin flip in domain 1. Through r she answers 1 about a quarter of the
+  // time, and each such answer updates row 0 as if the expert gave it,
+  // which drops ŝ to (0.745, 0.255): the expected posterior entropy exceeds
+  // H(s). Both kernels agree to the bit.
+  Task task;
+  task.domain_vector = {0.5, 0.5};
+  task.num_choices = 2;
+  Matrix truth_matrix(2, 2, 0.0);
+  truth_matrix.SetRow(0, {0.99, 0.01});
+  truth_matrix.SetRow(1, {0.99, 0.01});
+  const std::vector<double> s = {0.99, 0.01};
+  const std::vector<double> quality = {0.99, 0.5};
+  const double reference = Benefit(task, truth_matrix, s, quality, 0.01);
+  BenefitScratch scratch;
+  const double fused = Benefit(task, truth_matrix, s, quality, 0.01, &scratch);
+  EXPECT_LT(reference, 0.0);
+  EXPECT_LT(fused, 0.0);
+  EXPECT_EQ(reference, fused);
+  EXPECT_NEAR(reference, -0.115057, 1e-6);
+}
+
 // --- Theorem 4: additivity of the set benefit --------------------------------
 
 class Theorem4Test : public ::testing::TestWithParam<int> {};

@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks of the hot kernels behind the paper's
-// complexity claims: Algorithm 1 (DVE), the TI step, the OTA benefit
-// computation, golden-count approximation, the worker store, the serving
-// score memo's bytes per (worker, task) pair, the snapshot publish and the
-// durable layer's dedup-window memory.
+// complexity claims: Algorithm 1 (DVE), the TI step and the engine's full
+// pass, the OTA benefit computation, golden-count approximation, the worker
+// store, the serving score memo's bytes per (worker, task) pair, the bytes
+// kept per answer, the snapshot publish and the durable layer's
+// dedup-window memory.
 
 #include <benchmark/benchmark.h>
 
@@ -224,6 +225,55 @@ BENCHMARK(BM_TiFullRun)
     ->ArgsProduct({{100, 1000}, {1, 2, 4, 8}, {0}})
     ->ArgsProduct({{1000, 10000, 100000}, {1, 2}, {1}})
     ->ArgNames({"n", "threads", "serving"})
+    ->Unit(benchmark::kMillisecond);
+
+// The incremental engine's periodic full pass (RunFullInference) on
+// BM_TiFullRun's serving shape (m = 26, l in {2, 3}, 4 answers per task from
+// 60 workers, all 20 iterations), sequential, with the answers absorbed
+// through OnAnswer first. B/op and allocs/op count every operator-new byte
+// and call of the timed passes, after one untimed pass: a repeated pass
+// should allocate nothing in proportion to the answers.
+void BM_EngineFullPass(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t m = 26;
+  const size_t num_workers = 60;
+  Rng rng(13);
+  std::vector<core::Task> tasks(n);
+  for (auto& task : tasks) {
+    task.domain_vector = rng.Dirichlet(m, 0.3);
+    task.num_choices = 2 + rng.UniformInt(2);
+  }
+  core::TruthInferenceOptions options;
+  options.max_iterations = 20;
+  options.tolerance = 0.0;
+  core::IncrementalTruthInference engine(tasks, options);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t a = 0; a < 4; ++a) {
+      Status status = engine.OnAnswer((i * 3 + a) % num_workers, i,
+                                      rng.UniformInt(tasks[i].num_choices));
+      DOCS_CHECK(status.ok()) << status.ToString();
+    }
+  }
+  engine.RunFullInference(nullptr);
+  const uint64_t allocs_before = HeapAllocations();
+  const uint64_t bytes_before = HeapAllocatedBytes();
+  uint64_t iters = 0;
+  for (auto _ : state) {
+    engine.RunFullInference(nullptr);
+    ++iters;
+  }
+  if (iters > 0) {
+    const auto per_iter = [iters](uint64_t total) {
+      return static_cast<double>(total) / static_cast<double>(iters);
+    };
+    state.counters["allocs/op"] = per_iter(HeapAllocations() - allocs_before);
+    state.counters["B/op"] = per_iter(HeapAllocatedBytes() - bytes_before);
+  }
+}
+BENCHMARK(BM_EngineFullPass)
+    ->Arg(4000)
+    ->Arg(20000)
+    ->ArgName("n")
     ->Unit(benchmark::kMillisecond);
 
 // OTA top-k selection over n candidate tasks, m = 26, scored on `threads`
@@ -590,6 +640,63 @@ void BM_ServingBytesPerPair(benchmark::State& state) {
 }
 BENCHMARK(BM_ServingBytesPerPair)
     ->Arg(10000)
+    ->ArgName("n")
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+// Retained heap bytes per absorbed answer through the facade: live
+// operator-new bytes after 50 registered workers submitted 400 answers each
+// to an n-task QA campaign (sync ConcurrentDocsSystem, periodic EM off, no
+// request in between), less the live bytes before, per answer. That is what
+// every stored form of an answer costs for as long as the campaign runs:
+// the engine's per-task and per-worker lists, its arrival log and mutation
+// log, and the submission books. Measured once per run.
+void BM_RetainedBytesPerAnswer(benchmark::State& state) {
+  constexpr size_t kWorkers = 50;
+  constexpr size_t kAnswersEach = 400;
+  const kb::SyntheticKb& kb = ServingKb();
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<core::TaskInput> inputs;
+  for (const auto& task : datasets::MakeQaDataset(kb, n).tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  core::DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.lease_duration = 0;
+  options.num_threads = 1;
+  core::ConcurrentDocsSystem system(&kb.knowledge_base, options);
+  Status status = system.AddTasks(inputs);
+  DOCS_CHECK(status.ok()) << status.ToString();
+  std::vector<std::string> workers;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    workers.push_back("bytes_w" + std::to_string(w));
+    benchmark::DoNotOptimize(system.RequestTasks(workers.back(), 0));
+  }
+  // A request from a registered worker publishes a snapshot, before the
+  // answers and after them, so both readings hold exactly one snapshot: the
+  // chunk copies the first answers make of the published posteriors are
+  // freed with the retired snapshot, not counted per answer.
+  benchmark::DoNotOptimize(system.RequestTasks(workers[0], 0));
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const int64_t live_before = HeapLiveBytes();
+    for (size_t w = 0; w < kWorkers; ++w) {
+      for (size_t j = 0; j < kAnswersEach; ++j) {
+        // Distinct tasks per worker: j * (n / kAnswersEach) spans [0, n).
+        const size_t task = (w + j * (n / kAnswersEach)) % n;
+        status = system.SubmitAnswer(workers[w], task, 0);
+        DOCS_CHECK(status.ok()) << status.ToString();
+      }
+    }
+    benchmark::DoNotOptimize(system.RequestTasks(workers[0], 0));
+    bytes = HeapLiveBytes() - live_before;
+  }
+  state.counters["B/answer"] = static_cast<double>(bytes) /
+                               static_cast<double>(kWorkers * kAnswersEach);
+}
+BENCHMARK(BM_RetainedBytesPerAnswer)
+    ->Arg(4000)
     ->ArgName("n")
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

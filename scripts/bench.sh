@@ -9,7 +9,9 @@
 #   1. bench_micro --benchmark_filter=BM_ServeRequestTasks — ns/op and
 #      allocations/op for the warm cached path, the seed-era cold path
 #      (every eligible task rescored with the allocating reference kernel)
-#      and the fused cold path;
+#      and the fused cold path — plus the periodic EM pass on the serving
+#      shape (BM_TiFullRun, n = 10k, 1 and 2 threads), recorded in
+#      BENCH_5.json's micro section and not gated;
 #   2. bench_server --mode=warm and --mode=mixed — end-to-end wire latency
 #      percentiles (p50/p95/p99) over real TCP;
 #   3. the §13 scaling sweeps: bench_server --mode=mixed over
@@ -113,9 +115,9 @@ else
   SWEEP_OPS=1000
 fi
 
-echo "=== [bench] bench_micro serving path ==="
+echo "=== [bench] bench_micro serving path and EM pass ==="
 "$BUILD_DIR/bench/bench_micro" \
-  --benchmark_filter='BM_ServeRequestTasks' \
+  --benchmark_filter='BM_ServeRequestTasks|BM_TiFullRun/n:10000/threads:[12]/serving:1' \
   --benchmark_out="$TMP/micro.json" --benchmark_out_format=json \
   "${MICRO_ARGS[@]}"
 

@@ -22,7 +22,7 @@ BenefitIndex* DocsSystem::IndexRow(size_t worker) {
   return &benefit_index_[worker];
 }
 
-size_t DocsSystem::SyncIndex(const std::vector<size_t>& answered,
+size_t DocsSystem::SyncIndex(const std::vector<uint32_t>& answered,
                              BenefitIndex* index,
                              const std::function<double(size_t)>& score,
                              uint64_t worker_epoch, uint64_t generation,
@@ -32,12 +32,10 @@ size_t DocsSystem::SyncIndex(const std::vector<size_t>& answered,
   // path and from the window the snapshot carries on the snapshot path. The
   // cursor is an absolute log sequence number either way, so an index built
   // on one path catches up on the other.
-  const uint64_t log_begin =
-      snap == nullptr ? inference_->mutation_log_begin()
-                      : snap->mutation_log_begin;
-  const std::vector<size_t>& log =
+  const MutationLog& log =
       snap == nullptr ? inference_->mutation_log() : snap->mutation_log;
-  const uint64_t log_end = log_begin + log.size();
+  const uint64_t log_begin = log.begin();
+  const uint64_t log_end = log.end();
   size_t scored = 0;
   // Tags fresh + cursor inside the window = replay the tail (nothing, when
   // caught up). A cursor before the window (trimmed log) or past its end (an
@@ -47,7 +45,7 @@ size_t DocsSystem::SyncIndex(const std::vector<size_t>& answered,
   if (index->Fresh(worker_epoch, generation, n) &&
       index->cursor() >= log_begin && index->cursor() <= log_end) {
     for (uint64_t seq = index->cursor(); seq < log_end; ++seq) {
-      const size_t task = log[seq - log_begin];
+      const size_t task = log.at(seq);
       if (!index->contains(task)) continue;
       index->Repair(task, score(task));
       ++scored;
@@ -86,7 +84,7 @@ std::vector<size_t> DocsSystem::RankCore(const std::vector<uint8_t>& eligible,
 }
 
 std::vector<size_t> DocsSystem::RankWithIndex(
-    const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
+    const std::vector<uint32_t>& answered, BenefitIndex* index, size_t k,
     const std::function<double(size_t)>& score, uint64_t worker_epoch,
     uint64_t generation, const std::function<bool(size_t)>& eligible_one,
     const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
@@ -279,7 +277,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   return selected;
 }
 
-void DocsSystem::BuildEligibilityBitmap(const std::vector<size_t>& answered,
+void DocsSystem::BuildEligibilityBitmap(const std::vector<uint32_t>& answered,
                                         const std::vector<uint8_t>* capped,
                                         std::vector<uint8_t>* eligible) const {
   // Starts all-eligible and masks the booked answers in O(|T(w)|) — no
@@ -515,13 +513,13 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
   return OkStatus();
 }
 
-const std::vector<size_t>& DocsSystem::Booked(size_t worker) const {
-  static const std::vector<size_t> kNone;
+const std::vector<uint32_t>& DocsSystem::Booked(size_t worker) const {
+  static const std::vector<uint32_t> kNone;
   return worker < answered_.size() ? answered_[worker] : kNone;
 }
 
 bool DocsSystem::HasBooked(size_t worker, size_t task) const {
-  const std::vector<size_t>& answered = Booked(worker);
+  const std::vector<uint32_t>& answered = Booked(worker);
   return std::binary_search(answered.begin(), answered.end(), task);
 }
 
@@ -533,9 +531,9 @@ bool DocsSystem::AtAnswerCap(size_t task) const {
 
 void DocsSystem::BookAnswer(size_t worker, size_t task) {
   if (answered_.size() <= worker) answered_.resize(worker + 1);
-  std::vector<size_t>& answered = answered_[worker];
+  std::vector<uint32_t>& answered = answered_[worker];
   answered.insert(std::upper_bound(answered.begin(), answered.end(), task),
-                  task);
+                  static_cast<uint32_t>(task));
   ++answers_per_task_[task];
   ReleaseLease(worker, task);
 }
@@ -628,8 +626,8 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
       prev != nullptr && prev->generation == snap->generation;
 
   // The mutation-log window: an index synced anywhere inside it repairs the
-  // tail instead of rebuilding (DESIGN.md §16).
-  snap->mutation_log_begin = inference_->mutation_log_begin();
+  // tail instead of rebuilding (DESIGN.md §16). The copy shares the log's
+  // segments by pointer.
   snap->mutation_log = inference_->mutation_log();
 
   snap->task_chunks = inference_->SharePosteriors();
@@ -736,11 +734,14 @@ Status DocsSystem::SaveCheckpoint(const std::string& path) const {
     worker.seed_weight = seed.weight;
     checkpoint.workers.push_back(std::move(worker));
   }
-  checkpoint.answers.reserve(inference_->answers().size());
-  for (const Answer& answer : inference_->answers()) {
-    checkpoint.answers.push_back({answer.task, answer.worker, answer.choice});
-  }
-  return storage::SaveStateCheckpoint(checkpoint, path);
+  // The answers are streamed from the engine as the file is written, not
+  // copied into the checkpoint first.
+  auto answers = [this](const storage::AnswerRecordSink& emit) {
+    inference_->ForEachAnswer([&emit](const Answer& answer) {
+      emit({answer.task, answer.worker, answer.choice});
+    });
+  };
+  return storage::SaveStateCheckpoint(checkpoint, answers, path);
 }
 
 Status DocsSystem::LoadCheckpoint(const std::string& path) {

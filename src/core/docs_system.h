@@ -262,7 +262,7 @@ class DocsSystem : public AssignmentPolicy {
   /// Phase 1 copies the booked answers and, under a redundancy cap, the cap
   /// mask (else empty); `eligible` is the scan fallback's bitmap of both.
   struct ShardScratch {
-    std::vector<size_t> answered;
+    std::vector<uint32_t> answered;
     std::vector<uint8_t> capped;
     std::vector<uint8_t> eligible;
     std::vector<double> quality;
@@ -345,7 +345,7 @@ class DocsSystem : public AssignmentPolicy {
   /// Builds the scan fallback's eligibility bitmap into `*eligible`: all-open
   /// minus the booked `answered` tasks minus the capped ones, read from the
   /// phase-1 mask `capped` or, when null, from the live lease books.
-  void BuildEligibilityBitmap(const std::vector<size_t>& answered,
+  void BuildEligibilityBitmap(const std::vector<uint32_t>& answered,
                               const std::vector<uint8_t>* capped,
                               std::vector<uint8_t>* eligible) const;
 
@@ -365,7 +365,7 @@ class DocsSystem : public AssignmentPolicy {
   /// cursor outside the mutation-log window, targeted repairs from the window
   /// otherwise. The window is the live engine's (`snap` null) or the one the
   /// snapshot carries. Adds the count to benefit_cache_misses.
-  size_t SyncIndex(const std::vector<size_t>& answered, BenefitIndex* index,
+  size_t SyncIndex(const std::vector<uint32_t>& answered, BenefitIndex* index,
                    const std::function<double(size_t)>& score,
                    uint64_t worker_epoch, uint64_t generation,
                    const InferenceSnapshot* snap);
@@ -384,7 +384,7 @@ class DocsSystem : public AssignmentPolicy {
   /// O(n) bitmap fill). Tallies the request-level counters. k = 0 returns
   /// at once.
   std::vector<size_t> RankWithIndex(
-      const std::vector<size_t>& answered, BenefitIndex* index, size_t k,
+      const std::vector<uint32_t>& answered, BenefitIndex* index, size_t k,
       const std::function<double(size_t)>& score, uint64_t worker_epoch,
       uint64_t generation, const std::function<bool(size_t)>& eligible_one,
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
@@ -406,7 +406,7 @@ class DocsSystem : public AssignmentPolicy {
   void Reinfer();
 
   /// Eligibility reads over the submission books.
-  const std::vector<size_t>& Booked(size_t worker) const;
+  const std::vector<uint32_t>& Booked(size_t worker) const;
   bool HasBooked(size_t worker, size_t task) const;
   bool AtAnswerCap(size_t task) const;
 
@@ -438,7 +438,7 @@ class DocsSystem : public AssignmentPolicy {
   /// ack time. They lead the engine by the inference queue depth (zero
   /// without one) and are what eligibility, the redundancy cap and duplicate
   /// detection read. Facade's assign lock.
-  std::vector<std::vector<size_t>> answered_;
+  std::vector<std::vector<uint32_t>> answered_;
   std::vector<size_t> answers_per_task_;
   /// The one pool every hot loop the system drives fans out on — index
   /// rebuilds (exclusive and snapshot paths alike) and the engine's periodic

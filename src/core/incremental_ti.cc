@@ -9,14 +9,10 @@
 namespace docs::core {
 namespace {
 
-double Clamp(double q, double clamp) {
-  return std::min(1.0 - clamp, std::max(clamp, q));
+/// Orders a worker's sorted answer list by task.
+bool TaskBelow(const TaskChoice& answer, size_t task) {
+  return answer.task < task;
 }
-
-/// Mutation-log bound: past this many un-replayed entries a catching-up
-/// benefit index would approach the cost of a rebuild anyway, so the log is
-/// trimmed wholesale and stragglers rebuild (DESIGN.md §16).
-constexpr size_t kMutationLogCapacity = 4096;
 
 }  // namespace
 
@@ -24,8 +20,10 @@ IncrementalTruthInference::IncrementalTruthInference(
     std::vector<Task> tasks, TruthInferenceOptions options)
     : tasks_(std::move(tasks)), options_(options) {
   const size_t n = tasks_.size();
+  // Answers are stored with 32-bit task ids.
+  DOCS_CHECK_LT(n, size_t{UINT32_MAX});
   log_numerators_.reserve(n);
-  answers_of_task_.resize(n);
+  answers_.of_task.resize(n);
   for (const Task& task : tasks_) {
     CheckUnitInterval(task.domain_vector, 1e-9,
                       "task domain vector (incremental TI prior)");
@@ -53,12 +51,15 @@ std::shared_ptr<PosteriorChunk> IncrementalTruthInference::PriorChunk(
   return chunk;
 }
 
+void IncrementalTruthInference::UnshareChunk(size_t c) {
+  if (!chunk_shared_[c]) return;
+  chunks_[c] = std::make_shared<PosteriorChunk>(*chunks_[c]);
+  chunk_shared_[c] = 0;
+}
+
 TaskPosterior& IncrementalTruthInference::MutablePosterior(size_t task) {
   const size_t c = task / kTasksPerChunk;
-  if (chunk_shared_[c]) {
-    chunks_[c] = std::make_shared<PosteriorChunk>(*chunks_[c]);
-    chunk_shared_[c] = 0;
-  }
+  UnshareChunk(c);
   return (*chunks_[c])[task % kTasksPerChunk];
 }
 
@@ -69,14 +70,17 @@ IncrementalTruthInference::SharePosteriors() {
 }
 
 void IncrementalTruthInference::EnsureWorker(size_t worker) {
+  // Answers are stored with 32-bit worker ids.
+  DOCS_CHECK_LT(worker, size_t{UINT32_MAX});
   while (workers_.size() <= worker) {
     WorkerState state;
     const size_t m = tasks_.empty() ? 0 : tasks_[0].domain_vector.size();
     state.stats.quality.assign(m, options_.default_quality);
     state.stats.weight.assign(m, 0.0);
-    state.seed = state.stats;
-    // state.answered stays empty: registration is O(m), not O(n).
+    seeds_.push_back(state.stats);
     workers_.push_back(std::move(state));
+    // The worker's answer list starts empty: registration is O(m), not O(n).
+    answers_.of_worker.emplace_back();
   }
 }
 
@@ -108,7 +112,7 @@ Status IncrementalTruthInference::SetWorkerQuality(
   }
   EnsureWorker(worker);
   workers_[worker].stats = quality;
-  workers_[worker].seed = quality;
+  seeds_[worker] = quality;
   ++workers_[worker].epoch;  // quality vector replaced
   return OkStatus();
 }
@@ -116,17 +120,35 @@ Status IncrementalTruthInference::SetWorkerQuality(
 bool IncrementalTruthInference::HasAnswered(size_t worker, size_t task) const {
   // Out-of-range indices (a forged wire request, a stale caller) must read
   // as "not answered", never out of bounds; a task index past tasks_.size()
-  // simply cannot be in the sorted answered list.
+  // simply cannot be in the sorted answer list.
   if (worker >= workers_.size()) return false;
-  const std::vector<size_t>& answered = workers_[worker].answered;
-  return std::binary_search(answered.begin(), answered.end(), task);
+  const std::vector<TaskChoice>& answered = answers_.of_worker[worker];
+  const auto it =
+      std::lower_bound(answered.begin(), answered.end(), task, TaskBelow);
+  return it != answered.end() && it->task == task;
 }
 
-const std::vector<size_t>& IncrementalTruthInference::answered_tasks(
+const std::vector<TaskChoice>& IncrementalTruthInference::worker_answers(
     size_t worker) const {
-  static const std::vector<size_t> kEmpty;
+  static const std::vector<TaskChoice> kEmpty;
   if (worker >= workers_.size()) return kEmpty;
-  return workers_[worker].answered;
+  return answers_.of_worker[worker];
+}
+
+void IncrementalTruthInference::ForEachAnswer(
+    const std::function<void(const Answer&)>& visit) const {
+  std::vector<uint32_t> seen(tasks_.size(), 0);
+  for (const uint32_t task : answer_log_) {
+    const WorkerChoice& answer = answers_.of_task[task][seen[task]++];
+    visit({task, answer.worker, answer.choice});
+  }
+}
+
+std::vector<Answer> IncrementalTruthInference::answers() const {
+  std::vector<Answer> all;
+  all.reserve(answer_log_.size());
+  ForEachAnswer([&all](const Answer& answer) { all.push_back(answer); });
+  return all;
 }
 
 Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
@@ -149,17 +171,14 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   const std::vector<double>& old_truth = old_truth_scratch_;
 
   // --- Step 1: update M̂^(i), M^(i) and s_i only. -------------------------
+  // The answer adds its log-odds to the chosen column only: Eq. 3's row
+  // softmax ignores the per-row constant the other columns would share.
   TaskPosterior& post = MutablePosterior(task);
   Matrix& log_numer = log_numerators_[task];
+  const std::vector<double>& quality = workers_[worker].stats.quality;
   for (size_t k = 0; k < m; ++k) {
-    const double q =
-        Clamp(workers_[worker].stats.quality[k], options_.quality_clamp);
-    const double log_correct = std::log(q);
-    const double log_wrong =
-        std::log((1.0 - q) / static_cast<double>(l > 1 ? l - 1 : 1));
-    for (size_t j = 0; j < l; ++j) {
-      log_numer(k, j) += (j == choice) ? log_correct : log_wrong;
-    }
+    log_numer(k, choice) +=
+        AnswerLogOdds(quality[k], options_.quality_clamp, l);
   }
   SoftmaxRowsInto(log_numer, &post.truth_matrix);
   post.truth_matrix.LeftMultiplyInto(t.domain_vector, &post.truth);
@@ -188,7 +207,7 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
                             "incremental worker quality (Eq. 5)");
   // (2) Every worker who answered this task before: their s_{i,j} moved from
   // s̃_{i,j} to s_{i,j}.
-  for (const Answer& prior_answer : answers_of_task_[task]) {
+  for (const WorkerChoice& prior_answer : answers_.of_task[task]) {
     WorkerQuality& pq = workers_[prior_answer.worker].stats;
     const size_t j = prior_answer.choice;
     for (size_t k = 0; k < m; ++k) {
@@ -205,24 +224,21 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
     }
   }
 
-  Answer answer{task, worker, choice};
-  answers_of_task_[task].push_back(answer);
-  answers_.push_back(answer);
-  std::vector<size_t>& answered = workers_[worker].answered;
-  answered.insert(std::lower_bound(answered.begin(), answered.end(), task),
-                  task);
+  answers_.of_task[task].push_back(
+      {static_cast<uint32_t>(worker), static_cast<uint32_t>(choice)});
+  std::vector<TaskChoice>& answered = answers_.of_worker[worker];
+  answered.insert(
+      std::lower_bound(answered.begin(), answered.end(), task, TaskBelow),
+      {static_cast<uint32_t>(task), static_cast<uint32_t>(choice)});
+  answer_log_.push_back(static_cast<uint32_t>(task));
 
   // The task's posterior moved (step 1): the mutation log names it, so
   // benefit indexes repair it in place instead of rebuilding. The qualities
   // of the submitter and of every retro-updated prior worker moved (step 2):
   // epoch bumps, at most one each (one answer per (worker, task)).
-  if (mutation_log_.size() >= kMutationLogCapacity) {
-    mutation_log_begin_ += mutation_log_.size();
-    mutation_log_.clear();
-  }
-  mutation_log_.push_back(task);
+  mutation_log_.Append(task);
   ++workers_[worker].epoch;
-  for (const Answer& prior_answer : answers_of_task_[task]) {
+  for (const WorkerChoice& prior_answer : answers_.of_task[task]) {
     if (prior_answer.worker != worker) ++workers_[prior_answer.worker].epoch;
   }
   return OkStatus();
@@ -235,7 +251,7 @@ void IncrementalTruthInference::RecomputeTask(size_t task,
       << "RecomputeTask would copy a shared posterior chunk";
   const Task& t = tasks_[task];
   TaskPosterior& post = MutablePosterior(task);
-  table.LogNumeratorInto(t, answers_of_task_[task], &log_numerators_[task]);
+  table.LogNumeratorInto(t, answers_.of_task[task], &log_numerators_[task]);
   SoftmaxRowsInto(log_numerators_[task], &post.truth_matrix);
   post.truth_matrix.LeftMultiplyInto(t.domain_vector, &post.truth);
   NormalizeInPlace(post.truth);
@@ -243,16 +259,12 @@ void IncrementalTruthInference::RecomputeTask(size_t task,
 }
 
 void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
-  std::vector<WorkerQuality> seeds;
-  seeds.reserve(workers_.size());
-  for (const auto& state : workers_) seeds.push_back(state.seed);
-
-  TruthInference engine(options_);
-  TruthInferenceResult result =
-      engine.Run(tasks_, workers_.size(), answers_, &seeds, pool);
-
+  // The pass reads the engine's own answer lists and seeds in place and
+  // runs in em_, whose buffers outlive the pass.
+  TruthInference(options_).Iterate(tasks_, answers_, seeds_, pool, &em_,
+                                   nullptr);
   for (size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w].stats = result.worker_quality[w];
+    workers_[w].stats = em_.quality[w];
   }
   // O(1) invalidation: the batch re-run replaces every quality vector and
   // every posterior at once, so instead of walking all worker epochs (the
@@ -260,22 +272,20 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   // The mutation log is trimmed too — the entries it held are subsumed by
   // the rebuilds the generation bump forces.
   ++generation_;
-  mutation_log_begin_ += mutation_log_.size();
-  mutation_log_.clear();
-  // Rebuild the incremental caches so later OnAnswer calls continue from the
-  // converged state, from one log table of the converged qualities (the
-  // batch run's last table predates its final step 2). Every task owns its
-  // cache slots, so the fan-out is bit-identical to the sequential loop for
-  // any thread count. Every task is rewritten in full, so a shared chunk is
-  // replaced by fresh storage here, before the fan-out, instead of copied.
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    if (chunk_shared_[c]) chunks_[c] = PriorChunk(c);
-  }
-  std::fill(chunk_shared_.begin(), chunk_shared_.end(), 0);
-  QualityLogTable table;
-  table.Build(tasks_, tasks_.empty() ? 0 : tasks_[0].domain_vector.size(),
-              result.worker_quality, options_.quality_clamp, pool);
-  ParallelFor(pool, tasks_.size(), [&](size_t i) { RecomputeTask(i, table); });
+  mutation_log_.Clear();
+  // Rebuild the incremental caches of the answered tasks so later OnAnswer
+  // calls continue from the converged state, from one log table of the
+  // converged qualities (the batch run's last table predates its final
+  // step 2). An unanswered task still holds its prior, which is what the
+  // rebuild would write, so it and a chunk of only such tasks are left
+  // alone. Every task owns its cache slots, so the fan-out is bit-identical
+  // to the sequential loop for any thread count; shared chunks are copied
+  // here, before it.
+  for (const uint32_t i : em_.answered) UnshareChunk(i / kTasksPerChunk);
+  em_.table.Build(tasks_, tasks_.empty() ? 0 : tasks_[0].domain_vector.size(),
+                  em_.quality, options_.quality_clamp, pool);
+  ParallelFor(pool, em_.answered.size(),
+              [&](size_t a) { RecomputeTask(em_.answered[a], em_.table); });
 }
 
 std::vector<size_t> IncrementalTruthInference::InferredChoices() const {

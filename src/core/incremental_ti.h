@@ -1,12 +1,14 @@
 #ifndef DOCS_CORE_INCREMENTAL_TI_H_
 #define DOCS_CORE_INCREMENTAL_TI_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/parallel.h"
 #include "common/status.h"
+#include "core/mutation_log.h"
 #include "core/truth_inference.h"
 #include "core/types.h"
 
@@ -41,9 +43,16 @@ class IncrementalTruthInference {
 
   size_t num_tasks() const { return tasks_.size(); }
   size_t num_workers() const { return workers_.size(); }
-  size_t num_answers() const { return answers_.size(); }
+  size_t num_answers() const { return answer_log_.size(); }
   const std::vector<Task>& tasks() const { return tasks_; }
-  const std::vector<Answer>& answers() const { return answers_; }
+
+  /// Calls `visit` on every absorbed answer in arrival order, rebuilt from
+  /// the arrival log of task ids and the per-task lists (an answer is the
+  /// c-th entry of its task's list when it is the c-th arrival for that
+  /// task). O(answers) time and O(tasks) scratch.
+  void ForEachAnswer(const std::function<void(const Answer&)>& visit) const;
+  /// Every absorbed answer in arrival order, as a fresh vector.
+  std::vector<Answer> answers() const;
 
   /// Grows the worker table to include `worker`, seeding new entries with
   /// the default quality. Called implicitly by OnAnswer.
@@ -79,17 +88,15 @@ class IncrementalTruthInference {
   /// The seed profile RunFullInference() restarts from (set by
   /// SetWorkerQuality, default quality otherwise).
   const WorkerQuality& worker_seed(size_t worker) const {
-    return workers_[worker].seed;
+    return seeds_[worker];
   }
   /// True once `worker` answered `task` (workers answer a task at most once).
   /// Out-of-range worker or task indices read as "not answered" instead of
   /// reading out of bounds.
   bool HasAnswered(size_t worker, size_t task) const;
 
-  /// The tasks `worker` has answered, ascending. Empty for unknown workers.
-  /// O(1); the serving loop uses it to mask eligibility in O(|answered|)
-  /// instead of O(n) HasAnswered probes.
-  const std::vector<size_t>& answered_tasks(size_t worker) const;
+  /// `worker`'s answers by ascending task. Empty for unknown workers.
+  const std::vector<TaskChoice>& worker_answers(size_t worker) const;
 
   /// Version tag of `worker`'s quality vector; starts at 1. Bumped whenever
   /// the quality estimate moves incrementally: her own submissions, the
@@ -111,19 +118,19 @@ class IncrementalTruthInference {
   /// catch up by repairing exactly the tasks in [c, mutation_log_end()); a
   /// cursor older than mutation_log_begin() means the log was trimmed (or a
   /// full inference cleared it) and the index must rebuild. Entries may name
-  /// the same task repeatedly — repair is idempotent.
-  uint64_t mutation_log_begin() const { return mutation_log_begin_; }
-  uint64_t mutation_log_end() const {
-    return mutation_log_begin_ + mutation_log_.size();
-  }
-  const std::vector<size_t>& mutation_log() const { return mutation_log_; }
+  /// the same task repeatedly — repair is idempotent. A copy of the log
+  /// shares its segments (a snapshot publish takes one).
+  uint64_t mutation_log_begin() const { return mutation_log_.begin(); }
+  uint64_t mutation_log_end() const { return mutation_log_.end(); }
+  const MutationLog& mutation_log() const { return mutation_log_; }
 
   /// argmax_j s_{i,j} for every task.
   std::vector<size_t> InferredChoices() const;
 
   /// The posterior chunks by pointer, for a snapshot publish, all marked
-  /// shared: the next write to a shared chunk replaces it first (OnAnswer
-  /// copies, RunFullInference rebuilds). The mark, not use_count(), decides.
+  /// shared: the next write to a shared chunk (OnAnswer, or the rebuild of
+  /// an answered task after RunFullInference) copies it first. The mark,
+  /// not use_count(), decides.
   std::vector<std::shared_ptr<const PosteriorChunk>> SharePosteriors();
 
   const TruthInferenceOptions& options() const { return options_; }
@@ -131,12 +138,6 @@ class IncrementalTruthInference {
  private:
   struct WorkerState {
     WorkerQuality stats;
-    WorkerQuality seed;
-    /// Tasks answered, ascending. A sorted vector costs O(|answered|) memory
-    /// instead of the former O(n)-per-worker bitmap (which made every
-    /// new-worker registration an O(n) allocation on the serving path);
-    /// membership is a binary search, insertion a bounded memmove.
-    std::vector<size_t> answered;
     /// Quality-vector version tag; see worker_epoch().
     uint64_t epoch = 1;
   };
@@ -152,22 +153,28 @@ class IncrementalTruthInference {
   TaskPosterior& MutablePosterior(size_t task);
   /// Chunk `c` holding the prior posteriors (uniform M^(i)) of its tasks.
   std::shared_ptr<PosteriorChunk> PriorChunk(size_t c) const;
+  /// Replaces chunk `c` by a private copy if it is shared.
+  void UnshareChunk(size_t c);
 
   std::vector<Task> tasks_;
   TruthInferenceOptions options_;
-  std::vector<Matrix> log_numerators_;  // M̂^(i), in log space
+  /// M̂^(i) in log space, up to a per-row constant: each answer's log-odds
+  /// summed into its chosen column (DESIGN.md §4).
+  std::vector<Matrix> log_numerators_;
   /// {M^(i), s_i} by chunk, and which chunks are shared (SharePosteriors).
   std::vector<std::shared_ptr<PosteriorChunk>> chunks_;
   std::vector<uint8_t> chunk_shared_;
   uint64_t generation_ = 1;  // see generation()
-  /// Dirty-task feed; see mutation_log(). Bounded: once it reaches
-  /// kMutationLogCapacity it is trimmed wholesale (begin jumps to end), which
-  /// simply demotes every index catch-up to a rebuild.
-  std::vector<size_t> mutation_log_;
-  uint64_t mutation_log_begin_ = 0;
-  std::vector<std::vector<Answer>> answers_of_task_;
-  std::vector<Answer> answers_;
+  MutationLog mutation_log_;  // see mutation_log()
+  /// The answers: the per-task lists (submission order) and the per-worker
+  /// lists (ascending task) the EM pass reads in place, and the arrival
+  /// order as one task id per answer (ForEachAnswer).
+  AnswerGroups answers_;
+  std::vector<uint32_t> answer_log_;
   std::vector<WorkerState> workers_;
+  std::vector<WorkerQuality> seeds_;  // see worker_seed()
+  /// RunFullInference's buffers, kept across passes.
+  EmWorkspace em_;
   /// OnAnswer scratch (the facade serializes OnAnswer callers, so one
   /// buffer suffices): the s̃_i snapshot, reused across calls so the
   /// per-answer update is allocation-free.

@@ -44,12 +44,11 @@ struct InferenceSnapshot {
   uint64_t generation = 0;
   /// The engine's mutation-log window at publish time (DESIGN.md §16): the
   /// tasks whose posterior moved at absolute sequence numbers
-  /// [mutation_log_begin, mutation_log_begin + mutation_log.size()). The
-  /// snapshot describes the engine exactly as of the window's end, so an
-  /// index whose cursor lies inside the window — however many publishes
-  /// behind — repairs the tail instead of rebuilding.
-  uint64_t mutation_log_begin = 0;
-  std::vector<size_t> mutation_log;
+  /// [mutation_log.begin(), mutation_log.end()), sharing the engine's log
+  /// segments by pointer. The snapshot describes the engine exactly as of
+  /// the window's end, so an index whose cursor lies inside the window —
+  /// however many publishes behind — repairs the tail instead of rebuilding.
+  MutationLog mutation_log;
   /// Task posteriors: the engine's own chunks, by pointer (SharePosteriors),
   /// so consecutive snapshots share every chunk no answer touched.
   std::vector<std::shared_ptr<const PosteriorChunk>> task_chunks;

@@ -250,7 +250,7 @@ void BenefitIndex::SiftDown(size_t slot) {
 void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
                            uint64_t generation,
                            uint64_t cursor,
-                           const std::vector<size_t>* exclude_sorted,
+                           const std::vector<uint32_t>* exclude_sorted,
                            const std::function<double(size_t)>& score,
                            ThreadPool* pool) {
   // pos_ packs heap slots into uint32_t (+1 for the "absent" sentinel).

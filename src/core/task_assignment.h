@@ -155,7 +155,7 @@ class BenefitIndex {
   /// heapified bottom-up in O(n).
   void Rebuild(size_t num_tasks, uint64_t worker_epoch,
                uint64_t generation, uint64_t cursor,
-               const std::vector<size_t>* exclude_sorted,
+               const std::vector<uint32_t>* exclude_sorted,
                const std::function<double(size_t)>& score, ThreadPool* pool);
 
   /// Replaces `task`'s indexed value and restores the heap invariant with

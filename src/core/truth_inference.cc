@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -71,31 +72,44 @@ void ComputeTruthMatrixInto(const Task& task,
   log_numer.Resize(m, l);
   log_numer.Fill(0.0);
   for (const Answer* answer : valid) {
+    const std::vector<double>& quality = qualities[answer->worker].quality;
     for (size_t k = 0; k < m; ++k) {
-      const double q =
-          Clamp(qualities[answer->worker].quality[k], quality_clamp);
-      const double log_correct = std::log(q);
-      const double log_wrong = std::log((1.0 - q) / WrongChoices(l));
-      for (size_t j = 0; j < l; ++j) {
-        log_numer(k, j) += (answer->choice == j) ? log_correct : log_wrong;
-      }
+      log_numer(k, answer->choice) +=
+          AnswerLogOdds(quality[k], quality_clamp, l);
     }
   }
   SoftmaxRowsInto(log_numer, out);
+}
+
+double AnswerLogOdds(double quality, double quality_clamp, size_t l) {
+  const double q = Clamp(quality, quality_clamp);
+  return std::log(q) - std::log((1.0 - q) / WrongChoices(l));
 }
 
 void SoftmaxRowsInto(const Matrix& log_numer, Matrix* out) {
   const size_t m = log_numer.rows();
   const size_t l = log_numer.cols();
   out->Resize(m, l);
-  // Per-thread scratch (this runs inside the EM ParallelFor fan-out); the
-  // row only carries one domain's intermediates, so reuse cannot leak.
-  thread_local std::vector<double> row;
-  row.resize(l);
+  if (l == 0) return;
   for (size_t k = 0; k < m; ++k) {
-    for (size_t j = 0; j < l; ++j) row[j] = log_numer(k, j);
-    const double lse = LogSumExp(row);
-    for (size_t j = 0; j < l; ++j) (*out)(k, j) = std::exp(row[j] - lse);
+    const double* x = log_numer.data().data() + k * l;
+    double* y = &(*out)(k, 0);
+    size_t top = 0;
+    for (size_t j = 1; j < l; ++j) {
+      if (x[j] > x[top]) top = j;
+    }
+    const double max = x[top];
+    // exp(max - max) is exactly 1 for a finite or +inf max. A -inf or NaN
+    // max has no such term; LogSumExp made the whole row NaN there.
+    double total = max > -std::numeric_limits<double>::infinity()
+                       ? 1.0
+                       : std::numeric_limits<double>::quiet_NaN();
+    for (size_t j = 0; j < l; ++j) {
+      if (j == top) continue;
+      y[j] = std::exp(x[j] - max);
+      total += y[j];
+    }
+    for (size_t j = 0; j < l; ++j) y[j] = (j == top ? 1.0 : y[j]) / total;
   }
   DOCS_DCHECK_FINITE(*out, "truth matrix (Eq. 3)");
 }
@@ -105,35 +119,33 @@ void QualityLogTable::Build(const std::vector<Task>& tasks, size_t m,
                             double quality_clamp, ThreadPool* pool) {
   m_ = m;
   slot_of_l_.clear();
+  choice_counts_.clear();
   num_slots_ = 0;
-  std::vector<size_t> choice_counts;
   for (const Task& task : tasks) {
     const size_t l = task.num_choices;
     if (l >= slot_of_l_.size()) slot_of_l_.resize(l + 1, SIZE_MAX);
     if (slot_of_l_[l] != SIZE_MAX) continue;
     slot_of_l_[l] = num_slots_++;
-    choice_counts.push_back(l);
+    choice_counts_.push_back(l);
   }
   const size_t num_workers = qualities.size();
-  log_correct_.resize(num_workers * m);
-  log_wrong_.resize(num_workers * num_slots_ * m);
+  log_odds_.resize(num_workers * num_slots_ * m);
   ParallelFor(pool, num_workers, [&](size_t w) {
     DOCS_DCHECK(qualities[w].quality.size() == m)
         << "worker quality of the wrong dimension in the EM log table";
-    for (size_t k = 0; k < m; ++k) {
-      const double q = Clamp(qualities[w].quality[k], quality_clamp);
-      log_correct_[w * m + k] = std::log(q);
-      for (size_t s = 0; s < num_slots_; ++s) {
-        log_wrong_[(w * num_slots_ + s) * m + k] =
-            std::log((1.0 - q) / WrongChoices(choice_counts[s]));
+    for (size_t s = 0; s < num_slots_; ++s) {
+      double* odds = &log_odds_[(w * num_slots_ + s) * m];
+      for (size_t k = 0; k < m; ++k) {
+        odds[k] = AnswerLogOdds(qualities[w].quality[k], quality_clamp,
+                                choice_counts_[s]);
       }
     }
   });
 }
 
-void QualityLogTable::LogNumeratorInto(const Task& task,
-                                       const std::vector<Answer>& task_answers,
-                                       Matrix* out) const {
+void QualityLogTable::LogNumeratorInto(
+    const Task& task, const std::vector<WorkerChoice>& task_answers,
+    Matrix* out) const {
   const size_t m = task.domain_vector.size();
   const size_t l = task.num_choices;
   Matrix& log_numer = *out;
@@ -143,15 +155,9 @@ void QualityLogTable::LogNumeratorInto(const Task& task,
   DOCS_DCHECK(m == m_ && l < slot_of_l_.size() && slot_of_l_[l] != SIZE_MAX)
       << "task shape " << m << " x " << l << " missing from the EM log table";
   const size_t slot = slot_of_l_[l];
-  for (const Answer& answer : task_answers) {
-    const double* log_correct = &log_correct_[answer.worker * m];
-    const double* log_wrong =
-        &log_wrong_[(answer.worker * num_slots_ + slot) * m];
-    for (size_t k = 0; k < m; ++k) {
-      for (size_t j = 0; j < l; ++j) {
-        log_numer(k, j) += (answer.choice == j) ? log_correct[k] : log_wrong[k];
-      }
-    }
+  for (const WorkerChoice& answer : task_answers) {
+    const double* odds = &log_odds_[(answer.worker * num_slots_ + slot) * m];
+    for (size_t k = 0; k < m; ++k) log_numer(k, answer.choice) += odds[k];
   }
 }
 
@@ -250,16 +256,18 @@ TruthInferenceResult TruthInference::Run(
     CheckUnitInterval(task.domain_vector, 1e-9,
                       "task domain vector (TI prior)");
   }
+  // The grouped lists hold 32-bit task, worker and choice indices.
+  DOCS_CHECK_LT(n, size_t{UINT32_MAX});
+  DOCS_CHECK_LT(num_workers, size_t{UINT32_MAX});
 
-  TruthInferenceResult result;
-  result.task_truth.resize(n);
-  result.truth_matrices.resize(n);
-  result.inferred_choice.assign(n, 0);
-
-  // Per-task answer lists. Answers that cannot be attributed (task or worker
-  // out of range, impossible choice) are dropped once here so both EM steps
-  // see the same filtered view instead of indexing out of bounds.
-  std::vector<std::vector<Answer>> answers_of_task(n);
+  // Answers grouped per task and per worker. Answers that cannot be
+  // attributed (task or worker out of range, impossible choice) are dropped
+  // once here so both EM steps see the same filtered view instead of
+  // indexing out of bounds. Each worker's list is filled task-major, then
+  // in submission order within a task: the order step 2 sums in.
+  AnswerGroups groups;
+  groups.of_task.resize(n);
+  groups.of_worker.resize(num_workers);
   size_t stray = 0;
   for (const Answer& answer : answers) {
     if (answer.task >= n || answer.worker >= num_workers ||
@@ -268,78 +276,145 @@ TruthInferenceResult TruthInference::Run(
       ++stray;
       continue;
     }
-    answers_of_task[answer.task].push_back(answer);
+    groups.of_task[answer.task].push_back(
+        {static_cast<uint32_t>(answer.worker),
+         static_cast<uint32_t>(answer.choice)});
   }
   if (stray > 0) {
     DOCS_LOG(Warning) << "TruthInference::Run ignored " << stray
                       << " out-of-range answer(s)";
   }
-
-  // Per-worker answer lists for step 2, in the same global order the
-  // sequential sweep visits them (task-major, then submission order within a
-  // task): each worker's evidence accumulates in exactly that order, so the
-  // parallel per-worker reduction is bit-identical to the sequential one.
-  struct TaskChoice {
-    size_t task;
-    size_t choice;
-  };
-  std::vector<std::vector<TaskChoice>> answers_of_worker(num_workers);
   for (size_t i = 0; i < n; ++i) {
-    for (const Answer& answer : answers_of_task[i]) {
-      answers_of_worker[answer.worker].push_back({i, answer.choice});
+    for (const WorkerChoice& answer : groups.of_task[i]) {
+      groups.of_worker[answer.worker].push_back(
+          {static_cast<uint32_t>(i), answer.choice});
     }
   }
 
-  // Worker qualities: seeded from `initial_quality` or the default.
-  result.worker_quality.resize(num_workers);
+  // Worker qualities: seeded from `initial_quality` or the default. A seed
+  // is used only when both vectors span the m domains; step 2 reads the
+  // seed's weight as well as its quality.
+  std::vector<WorkerQuality> seeds(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    // A seed is used only when both vectors span the m domains; step 2
-    // reads the seed's weight as well as its quality.
     if (initial_quality != nullptr && w < initial_quality->size() &&
         (*initial_quality)[w].quality.size() == m &&
         (*initial_quality)[w].weight.size() == m) {
       CheckUnitInterval((*initial_quality)[w].quality, 1e-9,
                         "seeded worker quality (Eq. 5)");
-      result.worker_quality[w] = (*initial_quality)[w];
+      seeds[w] = (*initial_quality)[w];
     } else {
-      result.worker_quality[w].quality.assign(m, options_.default_quality);
-      result.worker_quality[w].weight.assign(m, 0.0);
+      seeds[w].quality.assign(m, options_.default_quality);
+      seeds[w].weight.assign(m, 0.0);
     }
   }
-  const std::vector<WorkerQuality> seeded_quality = result.worker_quality;
 
-  // Previous-iteration snapshots for the convergence check. Both are rotated
-  // by swap, not copied: step 1 overwrites every task_truth entry and step 2
-  // every quality entry, so the stale contents left in `result` by a swap are
-  // never read — only their storage is reused. Byte-identical to the
-  // copy-based rotation (determinism_test covers this).
-  std::vector<std::vector<double>> prev_truth(n);
-  std::vector<WorkerQuality> prev_quality = result.worker_quality;
-  QualityLogTable log_table;
+  TruthInferenceResult result;
+  result.truth_matrices.resize(n);
+  EmWorkspace work;
+  Iterate(tasks, groups, seeds, pool, &work, &result.truth_matrices);
+  result.task_truth = std::move(work.task_truth);
+  result.worker_quality = std::move(work.quality);
+  result.delta_history = std::move(work.delta_history);
+  result.iterations_run = work.iterations_run;
 
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // Rotate: prev_truth takes the last iteration's truth, and step 1 below
-    // refills result.task_truth (through buffers recycled from two
-    // iterations ago). On break the freshly written truth stays in `result`.
-    std::swap(prev_truth, result.task_truth);
-
-    // --- Step 1: infer the truth from qualities (Eq. 2-4). ----------------
-    // The Eq. 4 logs are taken once per (worker, domain, l) here instead of
-    // once per answer; the sums are bit-identical to ComputeTruthMatrixInto
-    // (see QualityLogTable). Each task owns its result slots, so the
-    // parallel loop commutes with the sequential one bit for bit.
-    log_table.Build(tasks, m, result.worker_quality, options_.quality_clamp,
-                    pool);
-    ParallelFor(pool, n, [&](size_t i) {
-      thread_local Matrix log_numer;
-      log_table.LogNumeratorInto(tasks[i], answers_of_task[i], &log_numer);
-      SoftmaxRowsInto(log_numer, &result.truth_matrices[i]);
+  // Tasks without answers hold the prior: step 1 over no answers, the same
+  // for every iteration, so it is computed once here.
+  if (result.iterations_run > 0) {
+    static const std::vector<Answer> kNoAnswers;
+    for (size_t i = 0; i < n; ++i) {
+      if (!groups.of_task[i].empty()) continue;
+      ComputeTruthMatrixInto(tasks[i], kNoAnswers, result.worker_quality,
+                             options_.quality_clamp,
+                             &result.truth_matrices[i]);
       result.truth_matrices[i].LeftMultiplyInto(tasks[i].domain_vector,
                                                 &result.task_truth[i]);
+      NormalizeInPlace(result.task_truth[i]);
+    }
+  }
+  result.inferred_choice.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!result.task_truth[i].empty()) {
+      result.inferred_choice[i] = ArgMax(result.task_truth[i]);
+    }
+  }
+  return result;
+}
+
+void TruthInference::Iterate(const std::vector<Task>& tasks,
+                             const AnswerGroups& answers,
+                             const std::vector<WorkerQuality>& seeds,
+                             ThreadPool* pool, EmWorkspace* work,
+                             std::vector<Matrix>* truth_matrices) const {
+  const size_t n = tasks.size();
+  const size_t m = n == 0 ? 0 : tasks[0].domain_vector.size();
+  const size_t num_workers = answers.of_worker.size();
+  DOCS_CHECK_EQ(answers.of_task.size(), n);
+  DOCS_CHECK_EQ(seeds.size(), num_workers);
+  EmWorkspace& em = *work;
+  const double prior = options_.quality_prior_strength;
+
+  // Only answered tasks take part in step 1. An unanswered task's truth is
+  // the same constant in every iteration, so its Delta term is exactly 0
+  // and skipping it leaves the sum bit-identical; it still counts towards
+  // the number of truth terms Delta averages over.
+  em.answered.clear();
+  size_t truth_terms = 0;
+  for (size_t i = 0; i < n; ++i) {
+    truth_terms += tasks[i].num_choices;
+    if (!answers.of_task[i].empty()) {
+      em.answered.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  em.task_truth.resize(n);
+  em.prev_truth.resize(n);
+  em.quality = seeds;
+  em.prev_quality = seeds;
+
+  // Step 2's denominators sum r over a worker's answers only, so they are
+  // the same in every iteration: summed once per pass, in the order the
+  // per-iteration sum used.
+  em.mass.assign(num_workers * m, 0.0);
+  em.evidence.resize(num_workers * m);
+  em.overall_mass.resize(num_workers);
+  ParallelFor(pool, num_workers, [&](size_t w) {
+    double* mass = &em.mass[w * m];
+    for (const TaskChoice& answer : answers.of_worker[w]) {
+      const std::vector<double>& r = tasks[answer.task].domain_vector;
+      for (size_t k = 0; k < m; ++k) mass[k] += r[k];
+    }
+    double overall = prior;
+    for (size_t k = 0; k < m; ++k) overall += mass[k] + seeds[w].weight[k];
+    em.overall_mass[w] = overall;
+  });
+
+  // The previous iteration's truths and qualities are rotated by swap, not
+  // copied: step 1 overwrites every answered task's truth and step 2 every
+  // quality entry, so the stale contents a swap leaves are never read.
+  em.delta_history.clear();
+  em.iterations_run = 0;
+  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
+    std::swap(em.prev_truth, em.task_truth);
+
+    // --- Step 1: infer the truth from qualities (Eq. 2-4). ----------------
+    // Eq. 4's log-odds are taken once per (worker, domain, l) here instead
+    // of once per answer; the sums are bit-identical to
+    // ComputeTruthMatrixInto (see QualityLogTable). Each task owns its
+    // result slots, so the parallel loop commutes with the sequential one
+    // bit for bit.
+    em.table.Build(tasks, m, em.quality, options_.quality_clamp, pool);
+    ParallelFor(pool, em.answered.size(), [&](size_t a) {
+      const size_t i = em.answered[a];
+      thread_local Matrix log_numer;
+      thread_local Matrix scratch;
+      Matrix& matrix =
+          truth_matrices != nullptr ? (*truth_matrices)[i] : scratch;
+      em.table.LogNumeratorInto(tasks[i], answers.of_task[i], &log_numer);
+      SoftmaxRowsInto(log_numer, &matrix);
+      matrix.LeftMultiplyInto(tasks[i].domain_vector, &em.task_truth[i]);
       // The domain vector always sums to 1 for the wrapper-produced tasks,
       // but guard against callers passing sub-normalized vectors.
-      NormalizeInPlace(result.task_truth[i]);
-      DOCS_DCHECK_SIMPLEX(result.task_truth[i], 1e-6,
+      NormalizeInPlace(em.task_truth[i]);
+      DOCS_DCHECK_SIMPLEX(em.task_truth[i], 1e-6,
                           "inferred task truth (Eq. 4)");
     });
 
@@ -348,55 +423,46 @@ TruthInferenceResult TruthInference::Run(
     // only w's own answers, accumulated in the same order as the sequential
     // task-major sweep — no cross-thread reduction is needed and the result
     // is identical for every thread count.
-    std::swap(prev_quality, result.worker_quality);
+    std::swap(em.prev_quality, em.quality);
     ParallelFor(pool, num_workers, [&](size_t w) {
-      std::vector<double> numer(m, 0.0);
-      std::vector<double> denom(m, 0.0);
-      for (const TaskChoice& tc : answers_of_worker[w]) {
-        const auto& r = tasks[tc.task].domain_vector;
-        const double s_iv = result.task_truth[tc.task][tc.choice];
-        for (size_t k = 0; k < m; ++k) {
-          numer[k] += r[k] * s_iv;
-          denom[k] += r[k];
-        }
+      double* numer = &em.evidence[w * m];
+      const double* denom = &em.mass[w * m];
+      std::fill(numer, numer + m, 0.0);
+      for (const TaskChoice& answer : answers.of_worker[w]) {
+        const std::vector<double>& r = tasks[answer.task].domain_vector;
+        const double s_iv = em.task_truth[answer.task][answer.choice];
+        for (size_t k = 0; k < m; ++k) numer[k] += r[k] * s_iv;
       }
+      const WorkerQuality& seed = seeds[w];
+      WorkerQuality& out = em.quality[w];
       // Hierarchical prior mean: the worker's overall accuracy pooled over
       // all domains (and her seed profile). Spammers are bad everywhere, so
       // a domain with little direct evidence borrows strength from the
       // worker's track record elsewhere instead of defaulting to a constant.
-      double overall_numer = options_.quality_prior_strength *
-                             options_.default_quality;
-      double overall_denom = options_.quality_prior_strength;
+      double overall_numer = prior * options_.default_quality;
       for (size_t k = 0; k < m; ++k) {
-        overall_numer += numer[k] +
-                         seeded_quality[w].quality[k] *
-                             seeded_quality[w].weight[k];
-        overall_denom += denom[k] + seeded_quality[w].weight[k];
+        overall_numer += numer[k] + seed.quality[k] * seed.weight[k];
       }
       const double overall_quality =
-          overall_denom > 0.0 ? overall_numer / overall_denom
-                              : options_.default_quality;
+          em.overall_mass[w] > 0.0 ? overall_numer / em.overall_mass[w]
+                                   : options_.default_quality;
       for (size_t k = 0; k < m; ++k) {
         // Seed evidence counts at its stored weight; the hierarchical pull
         // has quality_prior_strength pseudo-counts.
-        const double seed_mass = seeded_quality[w].weight[k];
+        const double seed_mass = seed.weight[k];
         const double prior_numer =
-            seeded_quality[w].quality[k] * seed_mass +
-            overall_quality * options_.quality_prior_strength;
-        const double prior_mass =
-            seed_mass + options_.quality_prior_strength;
+            seed.quality[k] * seed_mass + overall_quality * prior;
+        const double prior_mass = seed_mass + prior;
         const double total_mass = denom[k] + prior_mass;
         if (total_mass > 0.0) {
-          result.worker_quality[w].quality[k] =
-              (numer[k] + prior_numer) / total_mass;
+          out.quality[k] = (numer[k] + prior_numer) / total_mass;
         } else {
           // Pure paper formula (prior strength 0) with no data: keep seed.
-          result.worker_quality[w].quality[k] = seeded_quality[w].quality[k];
+          out.quality[k] = seed.quality[k];
         }
-        result.worker_quality[w].weight[k] = denom[k] + seed_mass;
+        out.weight[k] = denom[k] + seed_mass;
       }
-      DOCS_DCHECK_UNIT_INTERVAL(result.worker_quality[w].quality, 1e-9,
-                                "worker quality (Eq. 5)");
+      DOCS_DCHECK_UNIT_INTERVAL(out.quality, 1e-9, "worker quality (Eq. 5)");
     });
 
     // --- Convergence check (Delta of Section 6.3). -------------------------
@@ -406,18 +472,18 @@ TruthInferenceResult TruthInference::Run(
     double delta = 0.0;
     if (iter > 0) {
       double truth_change = 0.0;
-      size_t truth_terms = 0;
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < result.task_truth[i].size(); ++j) {
-          truth_change += std::fabs(result.task_truth[i][j] - prev_truth[i][j]);
-          ++truth_terms;
+      for (const uint32_t i : em.answered) {
+        const std::vector<double>& now = em.task_truth[i];
+        const std::vector<double>& before = em.prev_truth[i];
+        for (size_t j = 0; j < now.size(); ++j) {
+          truth_change += std::fabs(now[j] - before[j]);
         }
       }
       double quality_change = 0.0;
       for (size_t w = 0; w < num_workers; ++w) {
         for (size_t k = 0; k < m; ++k) {
-          quality_change += std::fabs(result.worker_quality[w].quality[k] -
-                                      prev_quality[w].quality[k]);
+          quality_change += std::fabs(em.quality[w].quality[k] -
+                                      em.prev_quality[w].quality[k]);
         }
       }
       delta = (truth_terms > 0 ? truth_change / static_cast<double>(truth_terms)
@@ -425,18 +491,11 @@ TruthInferenceResult TruthInference::Run(
               (num_workers * m > 0
                    ? quality_change / static_cast<double>(num_workers * m)
                    : 0.0);
-      result.delta_history.push_back(delta);
+      em.delta_history.push_back(delta);
     }
-    result.iterations_run = iter + 1;
+    em.iterations_run = iter + 1;
     if (iter > 0 && delta < options_.tolerance) break;
   }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (!result.task_truth[i].empty()) {
-      result.inferred_choice[i] = ArgMax(result.task_truth[i]);
-    }
-  }
-  return result;
 }
 
 }  // namespace docs::core

@@ -2,6 +2,7 @@
 #define DOCS_CORE_TRUTH_INFERENCE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -68,28 +69,37 @@ Matrix ComputeTruthMatrix(const Task& task,
 /// As above but writes into caller-owned storage: `*out` is reshaped to
 /// (m, l_ti) and every cell overwritten, so EM sweeps can reuse one Matrix
 /// per task across iterations instead of allocating a fresh one each time.
-/// The answer filter and softmax row live in thread_local scratch (the
+/// The answer filter and the log-numerator live in thread_local scratch (the
 /// function runs inside ParallelFor bodies). Bit-identical to
-/// ComputeTruthMatrix, which forwards here.
+/// ComputeTruthMatrix, which forwards here, and to the table-driven step 1
+/// of the EM loop and the incremental engine (DESIGN.md §4).
 void ComputeTruthMatrixInto(const Task& task,
                             const std::vector<Answer>& task_answers,
                             const std::vector<WorkerQuality>& qualities,
                             double quality_clamp, Matrix* out,
                             size_t* skipped_answers = nullptr);
 
+/// Eq. 4's log-odds of one answer: log q - log((1 - q) / (l - 1)), with q
+/// the clamped quality. It is what the answer adds to its chosen column of
+/// M̂ (DESIGN.md §4); every step-1 path takes it from here.
+double AnswerLogOdds(double quality, double quality_clamp, size_t l);
+
 /// Eq. 3's row normalization: `*out` takes log_numer's shape and row k
-/// becomes the stable softmax exp(M̂_k,j - LogSumExp(M̂_k)). Every step-1
-/// path (ComputeTruthMatrixInto, the EM sweep, the incremental engine) ends
-/// here, so they agree bit for bit whenever their log-numerators do.
+/// becomes exp(M̂_k,j - max_j M̂_k,j) / sum_j exp(M̂_k,j - max_j M̂_k,j).
+/// The argmax's term is exactly 1, so a row costs l - 1 `exp` calls and no
+/// `log`. A row whose max is -inf or NaN (possible only with
+/// quality_clamp = 0) comes out NaN, as the LogSumExp form gave. Every
+/// step-1 path (ComputeTruthMatrixInto, the EM sweep, the incremental
+/// engine) ends here, so they agree bit for bit whenever their
+/// log-numerators do.
 void SoftmaxRowsInto(const Matrix& log_numer, Matrix* out);
 
-/// Eq. 4's per-answer log terms, tabulated once per EM iteration instead of
-/// once per answer: for every worker w and domain k, log q and, for every
-/// choice count l in use, log((1 - q) / (l - 1)), with q the clamped q^w_k.
-/// A task's log-numerator is then a sum of table entries with answers in
-/// the outer loop, so each cell adds the same values (the same std::log of
-/// the same input) in the same answer order as ComputeTruthMatrixInto —
-/// the result is bit-identical to it (DESIGN.md §4).
+/// Eq. 4's per-answer log-odds, tabulated once per EM iteration instead of
+/// once per answer: for every worker w, domain k and choice count l in use,
+/// AnswerLogOdds(q^w_k, clamp, l). A task's log-numerator is then a sum of
+/// table entries with answers in the outer loop, so each cell adds the same
+/// values in the same answer order as ComputeTruthMatrixInto — the result
+/// is bit-identical to it (DESIGN.md §4).
 class QualityLogTable {
  public:
   /// Tabulates `qualities` (each of dimension `m`) for every choice count
@@ -99,18 +109,52 @@ class QualityLogTable {
              ThreadPool* pool);
 
   /// Writes `task`'s log-numerator M̂ (m x l, Eq. 3's numerator in log
-  /// space) into `*out`. Every answer must be in bounds (worker tabulated,
-  /// choice < l); the EM callers filter up front.
+  /// space, up to a per-row constant) into `*out`. Every answer must be in
+  /// bounds (worker tabulated, choice < l); the EM callers filter up front.
   void LogNumeratorInto(const Task& task,
-                        const std::vector<Answer>& task_answers,
+                        const std::vector<WorkerChoice>& task_answers,
                         Matrix* out) const;
 
  private:
   size_t m_ = 0;
   size_t num_slots_ = 0;           // distinct choice counts tabulated
   std::vector<size_t> slot_of_l_;  // choice count -> slot
-  std::vector<double> log_correct_;  // [w * m + k]
-  std::vector<double> log_wrong_;    // [(w * num_slots + slot) * m + k]
+  std::vector<size_t> choice_counts_;  // slot -> choice count
+  std::vector<double> log_odds_;   // [(w * num_slots + slot) * m + k]
+};
+
+/// The answers an EM pass reads, grouped the two ways its steps walk them:
+/// `of_task[i]` holds task i's answers in submission order (step 1), and
+/// `of_worker[w]` worker w's answers by ascending task, submission order
+/// within a task (step 2 accumulates each worker's evidence in that order,
+/// which is what keeps the parallel sweep bit-identical to the serial one).
+/// Every entry is in bounds of the tasks and workers it was grouped for.
+struct AnswerGroups {
+  std::vector<std::vector<WorkerChoice>> of_task;
+  std::vector<std::vector<TaskChoice>> of_worker;
+};
+
+/// The buffers of one EM pass. A caller that runs passes repeatedly keeps
+/// one and hands it back, so a later pass reuses its storage.
+struct EmWorkspace {
+  /// Tasks with at least one answer, ascending: the only ones step 1 visits.
+  std::vector<uint32_t> answered;
+  /// s_i of the answered tasks (others keep whatever they held), and the
+  /// previous iteration's, rotated by swap.
+  std::vector<std::vector<double>> task_truth;
+  std::vector<std::vector<double>> prev_truth;
+  /// q^w and u^w (Eq. 5), and the previous iteration's.
+  std::vector<WorkerQuality> quality;
+  std::vector<WorkerQuality> prev_quality;
+  /// [w * m + k]: the r-mass of w's answers in domain k (a pass constant)
+  /// and the s-weighted evidence of the current iteration.
+  std::vector<double> mass;
+  std::vector<double> evidence;
+  /// Per worker: the pooled denominator of the hierarchical prior mean.
+  std::vector<double> overall_mass;
+  QualityLogTable table;
+  std::vector<double> delta_history;
+  size_t iterations_run = 0;
 };
 
 /// Initializes worker qualities from their answers to golden tasks
@@ -154,6 +198,18 @@ class TruthInference {
                            const std::vector<Answer>& answers,
                            const std::vector<WorkerQuality>* initial_quality,
                            ThreadPool* pool) const;
+
+  /// The EM loop itself, on answers already grouped: Run above groups its
+  /// answer list and calls this, and the incremental engine passes its own
+  /// lists. Starts from `seeds` (one m-dimensional, valid seed per worker of
+  /// `answers.of_worker`) and leaves the converged qualities, the truths of
+  /// the answered tasks and the Delta curve in `*work`. `truth_matrices`,
+  /// when non-null, receives M^(i) of every answered task; otherwise M^(i)
+  /// lives in per-thread scratch only. Tasks without answers are never
+  /// visited: their step-1 result is the constant prior.
+  void Iterate(const std::vector<Task>& tasks, const AnswerGroups& answers,
+               const std::vector<WorkerQuality>& seeds, ThreadPool* pool,
+               EmWorkspace* work, std::vector<Matrix>* truth_matrices) const;
 
   const TruthInferenceOptions& options() const { return options_; }
 

@@ -2,6 +2,7 @@
 #define DOCS_CORE_TYPES_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace docs::core {
@@ -18,6 +19,19 @@ struct Answer {
   size_t task = 0;
   size_t worker = 0;
   size_t choice = 0;
+};
+
+/// One answer as a task's answer list V(i) holds it: the worker and her
+/// choice. Eight bytes, so the stores that keep every answer stay small.
+struct WorkerChoice {
+  uint32_t worker = 0;
+  uint32_t choice = 0;
+};
+
+/// One answer as a worker's answer list holds it: the task and her choice.
+struct TaskChoice {
+  uint32_t task = 0;
+  uint32_t choice = 0;
 };
 
 /// Per-worker quality vector q^w plus the weights u^w of Section 4.2 (the

@@ -225,28 +225,31 @@ Status AnswerWal::AppendPayload(const std::string& payload) {
 
 Status AnswerWal::ResetTo(
     const std::function<void(const DedupSink&)>& window) {
-  // Two passes: size the new mirror exactly, then fill it, so the checkpoint
-  // peak holds no growth slack (both mirrors are live until the swap).
+  // The new log is written straight from the window; the new mirror is
+  // built only once that succeeded, after the old one is released, so the
+  // two never coexist (on failure the old log and mirror stay as they
+  // were).
   size_t bytes = 0;
   std::string payload;
-  window([&](const std::string& worker_id, uint64_t request_id,
-             StatusCode code) {
-    if (request_id == 0) return;  // never a dedup key
-    payload.clear();
-    AppendDedupPayload(worker_id, request_id, code, &payload);
-    bytes += payload.size() + 1;
+  Status compacted = store_.CompactWith([&](const LogStore::PayloadSink& emit) {
+    window([&](const std::string& worker_id, uint64_t request_id,
+               StatusCode code) {
+      if (request_id == 0) return;  // never a dedup key
+      payload.clear();
+      AppendDedupPayload(worker_id, request_id, code, &payload);
+      emit(payload);
+      bytes += payload.size() + 1;
+    });
   });
-  std::string mirror;
-  mirror.reserve(bytes);
-  window([&mirror](const std::string& worker_id, uint64_t request_id,
-                   StatusCode code) {
-    if (request_id == 0) return;
-    AppendDedupPayload(worker_id, request_id, code, &mirror);
-    mirror.push_back('\n');
-  });
-  Status compacted = store_.CompactLines(mirror);
   if (!compacted.ok()) return compacted;
-  mirror_ = std::move(mirror);
+  std::string().swap(mirror_);
+  mirror_.reserve(bytes);
+  window([this](const std::string& worker_id, uint64_t request_id,
+                StatusCode code) {
+    if (request_id == 0) return;
+    AppendDedupPayload(worker_id, request_id, code, &mirror_);
+    mirror_.push_back('\n');
+  });
   return OkStatus();
 }
 

@@ -100,8 +100,8 @@ class AnswerWal {
   /// sink, in order (entries with request_id 0 are skipped). Answers up to
   /// the checkpoint are now owned by the checkpoint file; the dedup window
   /// must outlive them so in-flight retries still dedup. `window` is called
-  /// twice and must feed the same entries both times (the first pass sizes
-  /// the new mirror).
+  /// twice and must feed the same entries both times (the first pass writes
+  /// the new log, the second rebuilds the in-memory mirror).
   [[nodiscard]] Status ResetTo(
       const std::function<void(const DedupSink&)>& window);
 

@@ -86,6 +86,13 @@ void FormatWorker(size_t index, const StateCheckpoint::WorkerState& w,
 
 Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
                            const std::string& path) {
+  return SaveStateCheckpoint(checkpoint, nullptr, path);
+}
+
+Status SaveStateCheckpoint(
+    const StateCheckpoint& checkpoint,
+    const std::function<void(const AnswerRecordSink&)>& more_answers,
+    const std::string& path) {
   if (DOCS_FAULT_POINT(kFaultCheckpointSave)) {
     // Fails before anything is written: the previous checkpoint (if any)
     // stays intact, which is what retry-with-backoff relies on.
@@ -109,13 +116,15 @@ Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
       FormatWorker(w, checkpoint.workers[w], &payload);
       emit(payload);
     }
-    for (const auto& answer : checkpoint.answers) {
+    auto emit_answer = [&](const StateCheckpoint::AnswerRecord& answer) {
       payload = "answer";
       AppendField(answer.task, &payload);
       AppendField(answer.worker, &payload);
       AppendField(answer.choice, &payload);
       emit(payload);
-    }
+    };
+    for (const auto& answer : checkpoint.answers) emit_answer(answer);
+    if (more_answers) more_answers(emit_answer);
   };
   return LogStore::WriteFile(path, records).status();
 }

@@ -1,6 +1,7 @@
 #ifndef DOCS_STORAGE_STATE_CHECKPOINT_H_
 #define DOCS_STORAGE_STATE_CHECKPOINT_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,19 @@ struct StateCheckpoint {
 /// whitespace (or empty) are stored hex-encoded.
 [[nodiscard]] Status SaveStateCheckpoint(const StateCheckpoint& checkpoint,
                            const std::string& path);
+
+/// Receives one answer record of a streamed save.
+using AnswerRecordSink =
+    std::function<void(const StateCheckpoint::AnswerRecord&)>;
+
+/// As above, but the answers after `checkpoint.answers` come from
+/// `more_answers`, which passes each record to the sink it is given as the
+/// file is written: a caller that holds the answers in another form saves
+/// them without first copying every one into the checkpoint.
+[[nodiscard]] Status SaveStateCheckpoint(
+    const StateCheckpoint& checkpoint,
+    const std::function<void(const AnswerRecordSink&)>& more_answers,
+    const std::string& path);
 
 /// Reads a checkpoint; fails with DataLoss on structural corruption (a torn
 /// tail of answer records is tolerated, mirroring LogStore semantics).

@@ -372,8 +372,12 @@ TEST(IncrementalTiTest, AnsweredTasksIsSortedRegardlessOfSubmissionOrder) {
     ASSERT_TRUE(engine.OnAnswer(0, task, 0).ok());
   }
   const std::vector<size_t> expected = {0, 1, 2, 4, 5};
-  EXPECT_EQ(engine.answered_tasks(0), expected);
-  EXPECT_TRUE(engine.answered_tasks(3).empty());  // never-seen worker
+  std::vector<size_t> answered;
+  for (const TaskChoice& answer : engine.worker_answers(0)) {
+    answered.push_back(answer.task);
+  }
+  EXPECT_EQ(answered, expected);
+  EXPECT_TRUE(engine.worker_answers(3).empty());  // never-seen worker
   for (size_t task : expected) EXPECT_TRUE(engine.HasAnswered(0, task));
   EXPECT_FALSE(engine.HasAnswered(0, 3));
 }
@@ -392,20 +396,20 @@ TEST(IncrementalTiTest, OnAnswerBumpsTaskSubmitterAndRetroWorkers) {
 
   ASSERT_TRUE(engine.OnAnswer(0, 0, 1).ok());
   // Task 0 is logged; untouched task 1 is not.
-  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0}));
+  EXPECT_EQ(engine.mutation_log().Tasks(), (std::vector<size_t>{0}));
   EXPECT_EQ(engine.worker_epoch(0), 2u);
   EXPECT_EQ(engine.worker_epoch(1), 1u);  // uninvolved worker
 
   // Worker 1 answers the same task: worker 0 answered it before, so her
   // quality is retro-adjusted and her epoch must move too.
   ASSERT_TRUE(engine.OnAnswer(1, 0, 0).ok());
-  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0, 0}));
+  EXPECT_EQ(engine.mutation_log().Tasks(), (std::vector<size_t>{0, 0}));
   EXPECT_EQ(engine.worker_epoch(1), 2u);
   EXPECT_EQ(engine.worker_epoch(0), 3u);
 
   // A disjoint task leaves worker 0 alone.
   ASSERT_TRUE(engine.OnAnswer(1, 1, 0).ok());
-  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0, 0, 1}));
+  EXPECT_EQ(engine.mutation_log().Tasks(), (std::vector<size_t>{0, 0, 1}));
   EXPECT_EQ(engine.worker_epoch(1), 3u);
   EXPECT_EQ(engine.worker_epoch(0), 3u);
 }
@@ -424,7 +428,7 @@ TEST(IncrementalTiTest, QualitySeedBumpsEpochAndFullInferenceBumpsGeneration) {
 
   ASSERT_TRUE(engine.OnAnswer(0, 0, 1).ok());
   ASSERT_TRUE(engine.OnAnswer(1, 1, 0).ok());
-  EXPECT_EQ(engine.mutation_log(), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(engine.mutation_log().Tasks(), (std::vector<size_t>{0, 1}));
   const uint64_t worker0 = engine.worker_epoch(0);
   const uint64_t worker1 = engine.worker_epoch(1);
   const uint64_t generation = engine.generation();

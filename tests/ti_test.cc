@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/math_utils.h"
+#include "common/rng.h"
 #include "core/incremental_ti.h"
 #include "core/truth_inference.h"
 #include "crowd/campaign.h"
@@ -616,6 +619,232 @@ TEST(TruthInferenceTest, LogTableStepMatchesPerAnswerReference) {
       NormalizeInPlace(truth);
       EXPECT_TRUE(BitEqual(incremental.task_truth(i), truth)) << "task " << i;
     }
+  }
+}
+
+// --- The row softmax of Eq. 3 and the log-odds step 1 -----------------------
+
+#if DOCS_DEBUG_CHECKS
+constexpr bool kDebugChecks = true;
+#else
+constexpr bool kDebugChecks = false;
+#endif
+
+/// Distance in units in the last place between two non-negative doubles.
+uint64_t UlpDistance(double a, double b) {
+  int64_t ia = 0, ib = 0;
+  std::memcpy(&ia, &a, sizeof a);
+  std::memcpy(&ib, &b, sizeof b);
+  return static_cast<uint64_t>(ia > ib ? ia - ib : ib - ia);
+}
+
+/// The LogSumExp form of Eq. 3's row softmax, exp(x_j - LogSumExp(x)), in
+/// long double: the accurate reference the one-exp-per-entry form is held
+/// to.
+std::vector<double> LogSumExpRow(const std::vector<double>& x) {
+  long double max = x[0];
+  for (double v : x) max = std::max<long double>(max, v);
+  long double total = 0.0L;
+  for (double v : x) total += std::exp(static_cast<long double>(v) - max);
+  const long double lse = max + std::log(total);
+  std::vector<double> out;
+  for (double v : x) {
+    out.push_back(static_cast<double>(std::exp(v - lse)));
+  }
+  return out;
+}
+
+TEST(SoftmaxRowsTest, MatchesLogSumExpAndIgnoresRowConstants) {
+  // Rows of l = 2..5 entries up to +-700, with ties. Entries sit on a
+  // 2^-30 grid, so every difference and every grid shift below is exact in
+  // double and what is compared is the softmax itself, not input rounding.
+  Rng rng(8);
+  const double grid = std::ldexp(1.0, -30);
+  auto on_grid = [grid](double v) { return std::round(v / grid) * grid; };
+  for (size_t l = 2; l <= 5; ++l) {
+    for (size_t trial = 0; trial < 2000; ++trial) {
+      SCOPED_TRACE("l=" + std::to_string(l) + " trial " +
+                   std::to_string(trial));
+      // Wide rows span the whole range (most entries underflow against the
+      // max); narrow rows cluster near a center anywhere in it; tied rows
+      // draw from two values so the max repeats.
+      const size_t kind = trial % 3;
+      const double center = rng.UniformDoubleRange(-690.0, 690.0);
+      const double a = on_grid(rng.UniformDoubleRange(-700.0, 700.0));
+      const double b = on_grid(rng.UniformDoubleRange(-700.0, 700.0));
+      Matrix x(1, l);
+      for (size_t j = 0; j < l; ++j) {
+        if (kind == 0) {
+          x(0, j) = on_grid(rng.UniformDoubleRange(-700.0, 700.0));
+        } else if (kind == 1) {
+          x(0, j) = on_grid(center + rng.UniformDoubleRange(-8.0, 8.0));
+        } else {
+          x(0, j) = rng.Bernoulli(0.5) ? a : b;
+        }
+      }
+      Matrix y;
+      SoftmaxRowsInto(x, &y);
+      const std::vector<double> reference = LogSumExpRow(x.data());
+      double sum = 0.0;
+      for (size_t j = 0; j < l; ++j) {
+        sum += y(0, j);
+        EXPECT_LE(UlpDistance(y(0, j), reference[j]), 4u)
+            << "entry " << j << ": " << y(0, j) << " vs " << reference[j];
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-15 * static_cast<double>(l));
+
+      // Eq. 3 is invariant under a per-row constant.
+      const double shift = on_grid(rng.UniformDoubleRange(-5.0, 5.0));
+      Matrix shifted = x;
+      for (size_t j = 0; j < l; ++j) shifted(0, j) += shift;
+      Matrix y_shifted;
+      SoftmaxRowsInto(shifted, &y_shifted);
+      for (size_t j = 0; j < l; ++j) {
+        EXPECT_LE(UlpDistance(y_shifted(0, j), y(0, j)), 4u) << "entry " << j;
+      }
+    }
+  }
+}
+
+TEST(SoftmaxRowsTest, UniformRowsAreExactlyOneOverL) {
+  // A task with no answers has a zero log-numerator; its rows must be the
+  // same 1/l the engine's prior holds, bit for bit.
+  for (size_t l = 1; l <= 7; ++l) {
+    Matrix y;
+    SoftmaxRowsInto(Matrix(3, l, 0.0), &y);
+    for (size_t k = 0; k < 3; ++k) {
+      for (size_t j = 0; j < l; ++j) {
+        EXPECT_EQ(y(k, j), 1.0 / static_cast<double>(l)) << "l=" << l;
+      }
+    }
+  }
+}
+
+/// Step 1 in the form the log-odds replaced: every answer adds log q to
+/// its chosen column and log((1 - q) / (l - 1)) to every other one, then
+/// exp(x_j - LogSumExp(x)) per row.
+Matrix FullLogNumeratorTruthMatrix(const Task& task,
+                                   const std::vector<Answer>& answers,
+                                   const std::vector<WorkerQuality>& qualities,
+                                   double clamp) {
+  const size_t m = task.domain_vector.size();
+  const size_t l = task.num_choices;
+  Matrix out(m, l);
+  for (size_t k = 0; k < m; ++k) {
+    std::vector<double> row(l, 0.0);
+    for (const Answer& answer : answers) {
+      const double q = std::min(
+          1.0 - clamp, std::max(clamp, qualities[answer.worker].quality[k]));
+      for (size_t j = 0; j < l; ++j) {
+        row[j] += j == answer.choice
+                      ? std::log(q)
+                      : std::log((1.0 - q) / static_cast<double>(l - 1));
+      }
+    }
+    const double lse = LogSumExp(row);
+    for (size_t j = 0; j < l; ++j) out(k, j) = std::exp(row[j] - lse);
+  }
+  return out;
+}
+
+TEST(ComputeTruthMatrixTest, ZeroClampInfiniteLogOddsMatchTheFullForm) {
+  // quality_clamp = 0 lets q reach 0 and 1, so an answer's log-odds is -inf
+  // or +inf. Per domain row, the posterior must be the one the full
+  // log-numerator form gives: the same value where that is finite, NaN
+  // where that is NaN (every column -inf there). A column shared by a q = 1
+  // and a q = 0 answer sums to NaN here, but the full form is NaN in that
+  // row too, so no row turns NaN that was finite.
+  // Domains: 0 = both extremes, 1 = one worker perfect, 2 = ordinary.
+  std::vector<WorkerQuality> qualities(4);
+  qualities[0].quality = {1.0, 1.0, 0.8};  // perfect in domains 0 and 1
+  qualities[1].quality = {0.0, 0.6, 0.7};  // always wrong in domain 0
+  qualities[2].quality = {1.0, 0.3, 0.6};
+  qualities[3].quality = {0.0, 0.9, 0.55};
+  for (auto& q : qualities) q.weight = {1.0, 1.0, 1.0};
+  struct Case {
+    size_t l;
+    std::vector<Answer> answers;
+  };
+  const std::vector<Case> cases = {
+      {2, {{0, 0, 0}}},                        // +inf alone: one-hot
+      {3, {{0, 0, 1}}},                        // +inf alone, l = 3
+      {2, {{0, 1, 0}}},                        // -inf alone: the other choice
+      {3, {{0, 1, 2}, {0, 3, 0}}},             // two -inf columns, l = 3
+      {3, {{0, 0, 0}, {0, 1, 1}, {0, 3, 2}}},  // +inf and -infs apart
+      {2, {{0, 0, 0}, {0, 2, 1}}},             // two +inf columns: NaN row
+      {2, {{0, 0, 0}, {0, 1, 0}}},             // +inf, -inf shared: NaN row
+      {2, {{0, 1, 0}, {0, 3, 1}}},             // every column -inf: NaN row
+      {1, {{0, 0, 0}}},                        // l = 1, +inf: 1
+      {1, {{0, 1, 0}}},                        // l = 1, -inf: NaN row
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    Task task;
+    task.domain_vector = {0.2, 0.3, 0.5};
+    task.num_choices = cases[c].l;
+    const Matrix expected =
+        FullLogNumeratorTruthMatrix(task, cases[c].answers, qualities, 0.0);
+    bool any_nan = false;
+    for (double v : expected.data()) any_nan |= std::isnan(v);
+    // The step-1 finiteness contract aborts on a NaN row, as it did for the
+    // full form; only the finite cases run in a checked build.
+    if (kDebugChecks && any_nan) continue;
+    Matrix got;
+    ComputeTruthMatrixInto(task, cases[c].answers, qualities, 0.0, &got);
+    for (size_t k = 0; k < 3; ++k) {
+      for (size_t j = 0; j < task.num_choices; ++j) {
+        if (std::isnan(expected(k, j))) {
+          EXPECT_TRUE(std::isnan(got(k, j))) << "row " << k << " col " << j;
+        } else {
+          ASSERT_TRUE(std::isfinite(got(k, j))) << "row " << k << " col " << j;
+          EXPECT_NEAR(got(k, j), expected(k, j), 1e-12)
+              << "row " << k << " col " << j;
+        }
+      }
+    }
+    // Row 2 has no extreme quality: always finite.
+    for (size_t j = 0; j < task.num_choices; ++j) {
+      EXPECT_TRUE(std::isfinite(got(2, j)));
+    }
+  }
+}
+
+TEST(TruthInferenceTest, UnansweredTasksHoldThePriorBitwise) {
+  // 40 tasks over three chunks; only tasks 3, 4 and 20 get answers, so
+  // chunk 1 (tasks 16-31) mixes answered and unanswered tasks and chunk 2
+  // (tasks 32-39) holds only unanswered ones.
+  const size_t n = 40, m = 4;
+  Rng rng(77);
+  std::vector<Task> tasks(n);
+  for (size_t i = 0; i < n; ++i) {
+    tasks[i].domain_vector = rng.Dirichlet(m, 0.5);
+    tasks[i].num_choices = 2 + i % 4;
+  }
+  const std::vector<Answer> answers = {
+      {3, 0, 1}, {4, 1, 0}, {3, 1, 0}, {20, 2, 1}, {20, 0, 0}};
+  const IncrementalTruthInference prior(tasks);
+
+  IncrementalTruthInference engine(tasks);
+  for (const Answer& answer : answers) {
+    ASSERT_TRUE(
+        engine.OnAnswer(answer.worker, answer.task, answer.choice).ok());
+  }
+  // Published chunks: the pass must copy the ones it writes and keep the
+  // one it does not.
+  const auto published = engine.SharePosteriors();
+  ThreadPool pool(2);
+  engine.RunFullInference(&pool);
+  EXPECT_EQ(&engine.task_truth(33), &(*published[2])[1].truth);
+  EXPECT_NE(&engine.task_truth(20), &(*published[1])[4].truth);
+
+  const TruthInferenceResult batch = TruthInference().Run(tasks, 3, answers);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 3 || i == 4 || i == 20) continue;
+    SCOPED_TRACE("task " + std::to_string(i));
+    EXPECT_TRUE(BitEqual(engine.truth_matrix(i), prior.truth_matrix(i)));
+    EXPECT_TRUE(BitEqual(engine.task_truth(i), prior.task_truth(i)));
+    EXPECT_TRUE(BitEqual(batch.truth_matrices[i], prior.truth_matrix(i)));
+    EXPECT_TRUE(BitEqual(batch.task_truth[i], prior.task_truth(i)));
   }
 }
 
